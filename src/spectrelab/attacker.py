@@ -94,10 +94,6 @@ class BitRead:
     confidence: float                    # signed z; positive favors 1
     rtts_ns: Optional[np.ndarray] = None
 
-    @property
-    def low_confidence(self) -> bool:
-        return abs(self.confidence) < 1.0
-
 
 class Session:
     """One measurement loop against one victim."""
@@ -147,9 +143,10 @@ class Session:
     # -- measurement loops -----------------------------------------------
 
     def _batch_rtts(self, cycles: np.ndarray) -> np.ndarray:
+        """Turn a kernel's cycle array into round-trip times, in place."""
         t = self.transport
-        server_ns = cycles * t.victim.config.cycle_time_ns
-        return t.latency.rtt(server_ns, t.rng, size=cycles.shape[0])
+        cycles *= t.victim.config.cycle_time_ns
+        return t.latency.rtt(cycles, t.rng, size=cycles.shape[0])
 
     def collect_bit(self, plan: ExtractionPlan, bit_index: int,
                     n: Optional[int] = None) -> np.ndarray:
@@ -307,9 +304,9 @@ def _corner_moments(session: Session, channel: str, corner: str, n: int,
                                        min(_CALIBRATION_CHUNK, n - done), plan)
         if shift is None:
             shift = float(chunk[0])
-        d = chunk - shift
-        total += float(d.sum())
-        total_sq += float(np.dot(d, d))
+        chunk -= shift
+        total += float(chunk.sum())
+        total_sq += float(np.dot(chunk, chunk))
         done += chunk.size
     mean = total / n
     var = max(0.0, (total_sq - n * mean * mean) / (n - 1)) if n > 1 else 0.0
@@ -349,7 +346,7 @@ def decide(rtts: np.ndarray, plan: ExtractionPlan, calib: Calibration) -> int:
 def proportion_z(rtts: np.ndarray, threshold_ns: float) -> float:
     """Signed z-statistic of the fraction of samples on the fast side."""
     n = rtts.size
-    p = float(np.mean(rtts < threshold_ns))
+    p = np.count_nonzero(rtts < threshold_ns) / n
     se = math.sqrt(max(p * (1.0 - p), 0.0) / n)
     if se == 0.0:
         return math.inf if p > 0.5 else (-math.inf if p < 0.5 else 0.0)

@@ -48,10 +48,14 @@ def _latency_for(preset: str) -> LatencyModel:
 
 
 def _make_victim_config(args) -> VictimConfig:
-    if getattr(args, "config", None):
-        cfg = config_mod.load_config(args.config)
-    else:
-        cfg = VictimConfig()
+    """The --config file's settings, or the defaults, with the latency of
+    --preset, else of the file's [latency] section, else of the local
+    preset."""
+    latency = _latency_for(args.preset or "local")
+    cfg = (config_mod.load_config(args.config, latency=latency) if args.config
+           else VictimConfig(latency=latency))
+    if args.preset:
+        cfg.latency = latency
     return cfg
 
 
@@ -59,7 +63,6 @@ def _open_target(args, cfg: VictimConfig, seed: int):
     """Return (session, victim-or-None).  'loopback' builds an in-process
     victim; anything else is host[:port] over UDP."""
     if args.target == "loopback":
-        cfg.latency = _latency_for(args.preset)
         seq = np.random.SeedSequence(seed)
         v_rng, a_rng = (np.random.default_rng(s) for s in seq.spawn(2))
         victim = Victim(cfg, rng=v_rng)
@@ -77,7 +80,7 @@ def _open_target(args, cfg: VictimConfig, seed: int):
 # ---------------------------------------------------------------------------
 
 def cmd_victim(args) -> int:
-    cfg = _make_victim_config(args)
+    cfg = config_mod.load_config(args.config) if args.config else VictimConfig()
     if args.clock:
         cfg.clock_mode = args.clock
     cfg.validate()
@@ -126,7 +129,7 @@ def cmd_leak(args) -> int:
     bitstring = "".join(str(b) for b in result.bits)
     lines = [
         f"channel: {args.channel}",
-        f"preset: {args.preset}",
+        f"preset: {cfg.latency.name}",
         f"measurements_per_bit: {args.n}",
         f"bits: {bitstring}",
         f"data_hex: {result.data.hex()}",
@@ -206,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="measurements per bit")
     p.add_argument("--preset",
                    choices=("local", "cloud", "arm", "noiseless"),
-                   default="local")
+                   help="latency preset (default: the --config file's "
+                        "[latency] section, else local)")
     p.add_argument("--start-bit", type=int,
                    help="first bit index to leak (defaults to the loopback "
                         "victim's first out-of-bounds bit)")
@@ -224,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="probes per half-range check")
     p.add_argument("--preset",
                    choices=("local", "cloud", "arm", "noiseless"),
-                   default="local")
+                   help="latency preset (default: the --config file's "
+                        "[latency] section, else local)")
     p.add_argument("--config", help="victim config file (loopback only)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int)

@@ -21,6 +21,7 @@ Example::
 from __future__ import annotations
 
 import configparser
+from typing import Optional
 
 from . import uarch
 from .uarch import SecretStore
@@ -83,7 +84,9 @@ def _build_latency(section) -> LatencyModel:
                         distribution=distribution)
 
 
-def load_config(path: str) -> VictimConfig:
+def load_config(path: str,
+                latency: Optional[LatencyModel] = None) -> VictimConfig:
+    """Read a config file; ``latency`` fills in a missing [latency] section."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -124,6 +127,8 @@ def load_config(path: str) -> VictimConfig:
 
     if parser.has_section("latency"):
         cfg.latency = _build_latency(parser["latency"])
+    elif latency is not None:
+        cfg.latency = latency
 
     cfg.validate()
     return cfg

@@ -161,15 +161,8 @@ def fig10(out_dir: str, seed: int, n: int = 200_000) -> None:
             stats.histogram(rtts, spec))
 
 
-_GENERATORS = {
-    "fig3": fig3,
-    "fig4": fig4,
-    "fig5": fig5,
-    "fig6": fig6,
-    "fig7": fig7,
-    "fig8": fig8,
-    "fig10": fig10,
-}
+_GENERATORS = {f.__name__: f for f in (fig3, fig4, fig5, fig6, fig7, fig8,
+                                        fig10)}
 
 
 def generate(figure_id: str, out_dir: str, seed: int) -> None:

@@ -85,10 +85,6 @@ class CacheModel:
     hit_cycles: int = DEFAULT_HIT_CYCLES
     miss_cycles: int = DEFAULT_MISS_CYCLES
 
-    @property
-    def delta_cycles(self) -> int:
-        return self.miss_cycles - self.hit_cycles
-
 
 def avx_penalty(idle_ns: float, decay_start_ns: float = DEFAULT_DECAY_START_NS,
                 decay_end_ns: float = DEFAULT_DECAY_END_NS,
@@ -122,12 +118,15 @@ class AvxUnit:
         return avx_penalty(idle_ns, self.decay_start_ns, self.decay_end_ns,
                            self.max_penalty_cycles)
 
+    def cost(self, now_ns: float) -> int:
+        """Cycles a 256-bit operation at ``now_ns`` would take."""
+        if self.last_use_ns is None:
+            return self.warm_cycles + self.max_penalty_cycles
+        return self.warm_cycles + self.penalty(now_ns - self.last_use_ns)
+
     def execute_op(self, now_ns: float) -> int:
         """Run one 256-bit operation; returns its cost and powers the unit up."""
-        if self.last_use_ns is None:
-            cost = self.warm_cycles + self.max_penalty_cycles
-        else:
-            cost = self.warm_cycles + self.penalty(now_ns - self.last_use_ns)
+        cost = self.cost(now_ns)
         self.last_use_ns = now_ns
         return cost
 

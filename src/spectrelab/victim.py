@@ -195,11 +195,13 @@ class Victim:
             raise ValueError("batch size must be positive")
 
     def _finish(self, cycles: np.ndarray, requests: int) -> np.ndarray:
-        self.state.clock.advance(requests * self.config.per_request_ns)
-        if self.config.mitigation_noise_sigma_ns > 0:
-            extra = self.rng.normal(0.0, self.config.mitigation_noise_sigma_ns,
-                                    size=cycles.shape)
-            cycles = np.maximum(0.0, cycles + extra / self.config.cycle_time_ns)
+        cfg = self.config
+        self.state.clock.advance(requests * cfg.per_request_ns)
+        if cfg.mitigation_noise_sigma_ns > 0:
+            for view in wire.chunks(cycles):
+                view += self.rng.normal(0.0, cfg.mitigation_noise_sigma_ns,
+                                        size=view.shape[0]) / cfg.cycle_time_ns
+                np.maximum(0.0, view, out=view)
         return cycles
 
     def _cache_transmit_batch(self, n: int, effect: bool, reset_bytes: int,
@@ -211,16 +213,21 @@ class Victim:
         cache the variable before the thrash."""
         cfg = self.config
         p_evict = uarch.thrash_probability(reset_bytes, cfg.thrash_lambda)
-        evicted = self.rng.random(n) < p_evict
-        cached = ~evicted
+        hit = float(cfg.handler_cycles + cfg.hit_cycles)
+        cycles = np.empty(n)
+        for view in wire.chunks(cycles):
+            # one eviction draw per iteration, used or not
+            self.rng.random(out=view)
+            if effect:
+                view.fill(hit)
+            else:
+                np.less(view, p_evict, out=view)        # 1.0 where evicted
+                view *= cfg.miss_cycles - cfg.hit_cycles
+                view += hit
         # iteration 0 starts from the live flag state; afterwards the
         # transmit access has re-cached the variable
-        if not (self.state.cache.flag_cached or mistrain_fills_flag):
-            cached[0] = False
-        if effect:
-            cached[:] = True
-        cycles = np.where(cached, cfg.hit_cycles, cfg.miss_cycles).astype(float)
-        cycles += cfg.handler_cycles
+        if not (effect or self.state.cache.flag_cached or mistrain_fills_flag):
+            cycles[0] = cfg.handler_cycles + cfg.miss_cycles
 
         self.state.cache.flag_cached = True
         for op, per_iter in counter_ops.items():
@@ -298,11 +305,8 @@ class Victim:
         if not effect and not mistrain_warms:
             # iteration 0 measures against the live unit state instead of
             # the previous transmit
-            last = self.state.avx.last_use_ns
             t0 = self.state.clock.now + (mistrain + 2) * pr + wait_ns + pr
-            pen0 = (cfg.max_penalty_cycles if last is None
-                    else self.state.avx.penalty(t0 - last))
-            cycles[0] = cfg.handler_cycles + cfg.warm_cycles + pen0
+            cycles[0] = cfg.handler_cycles + self.state.avx.cost(t0)
 
         self._train_site(uarch.SITE_LEAK_AVX, n, mistrain, True, not oob)
         requests = (mistrain + 3) * n
@@ -350,17 +354,9 @@ class Victim:
                 self.state.cache.flag_cached = True
                 self.counters[wire.OP_TRANSMIT_CACHE] += 2 * n
                 return self._finish(cycles, 2 * n)
-            p_evict = uarch.thrash_probability(reset_bytes, cfg.thrash_lambda)
-            evicted = self.rng.random(n) < p_evict
-            cached = ~evicted
-            if not self.state.cache.flag_cached:
-                cached[0] = False
-            cycles = np.where(cached, cfg.hit_cycles, cfg.miss_cycles).astype(float)
-            cycles += cfg.handler_cycles
-            self.state.cache.flag_cached = True
-            self.counters[wire.OP_DOWNLOAD] += n
-            self.counters[wire.OP_TRANSMIT_CACHE] += n
-            return self._finish(cycles, 2 * n)
+            return self._cache_transmit_batch(
+                n, False, reset_bytes,
+                {wire.OP_DOWNLOAD: 1, wire.OP_TRANSMIT_CACHE: 1}, False)
         if channel == "avx":
             if corner == "hit":
                 cycles = np.full(n, float(cfg.handler_cycles + cfg.warm_cycles))
@@ -370,11 +366,8 @@ class Victim:
                 pr = cfg.per_request_ns
                 penalty = self.state.avx.penalty(wait_ns + 2 * pr)
                 cycles = np.full(n, float(cfg.handler_cycles + cfg.warm_cycles + penalty))
-                last = self.state.avx.last_use_ns
                 t0 = self.state.clock.now + pr + wait_ns + pr
-                pen0 = (cfg.max_penalty_cycles if last is None
-                        else self.state.avx.penalty(t0 - last))
-                cycles[0] = cfg.handler_cycles + cfg.warm_cycles + pen0
+                cycles[0] = cfg.handler_cycles + self.state.avx.cost(t0)
                 self.counters[wire.OP_ADVANCE_CLOCK] += n
                 self.counters[wire.OP_TRANSMIT_AVX] += n
                 self.state.clock.advance(n * wait_ns)

@@ -126,6 +126,16 @@ def decode_response(data: bytes) -> ResponsePacket:
 # Latency model
 # ---------------------------------------------------------------------------
 
+# Samples per in-place pass of a batch: 512 kB of float64, so a chunk's
+# passes run in L2 and only the first and last touch memory.
+CHUNK = 1 << 16
+
+
+def chunks(out: np.ndarray):
+    """Consecutive CHUNK-long views of the 1-D array ``out``."""
+    return (out[i:i + CHUNK] for i in range(0, out.shape[0], CHUNK))
+
+
 # Measured latency standard deviations for the three deployment scenarios.
 PRESET_SIGMAS_NS = {
     "local": 15_600.0,
@@ -180,17 +190,20 @@ class LatencyModel:
         return scale * (rng.lognormal(0.0, s, size=size) - mean)
 
     def rtt(self, server_ns, rng: np.random.Generator, size=None):
-        """Round-trip time for a request the victim spent ``server_ns`` on."""
-        raw = 2.0 * self.base_ns + server_ns + self.noise(rng, size=size)
-        return np.maximum(raw, 0.0) if size is not None else max(raw, 0.0)
+        """Round-trip time for a request the victim spent ``server_ns`` on.
 
-
-@dataclass(frozen=True)
-class Sample:
-    """One round-trip measurement."""
-
-    sequence: int
-    rtt_ns: float
+        With ``size``, ``size`` round trips, written over ``server_ns`` when
+        it is a float64 array of that length.  The noise is drawn one CHUNK
+        at a time, which keeps the draws of one ``noise(rng, size)`` call."""
+        if size is None:
+            return max(2.0 * self.base_ns + server_ns + self.noise(rng), 0.0)
+        out = (server_ns if isinstance(server_ns, np.ndarray)
+               else np.full(size, float(server_ns)))
+        for view in chunks(out):
+            view += 2.0 * self.base_ns
+            view += self.noise(rng, size=view.shape[0])
+            np.maximum(view, 0.0, out=view)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +267,3 @@ class UDPTransport:
     def close(self) -> None:
         self.sock.close()
 
-
-def send_request(transport, packet: RequestPacket,
-                 sequence: int = 0) -> tuple[ResponsePacket, Sample]:
-    """Issue one request and wrap the measured round trip as a Sample."""
-    response, rtt_ns = transport.request(packet)
-    return response, Sample(sequence=sequence, rtt_ns=rtt_ns)

@@ -2,6 +2,7 @@
 layout derandomization, and value recovery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -340,6 +341,23 @@ class TestSessionPlumbing:
         slow = np.full(10, 180.0)
         assert attacker.decide(fast, plan, calib) == 1
         assert attacker.decide(slow, plan, calib) == 0
+
+    @pytest.mark.parametrize("channel", ["cache", "avx"])
+    def test_batched_collect_allocates_one_output(self, channel):
+        # the batch path writes one float64 per sample and works in
+        # fixed-size chunks, so its peak stays near 8 bytes per sample
+        session, victim = make_session(seed=3, sigma_ns=15_600.0)
+        plan = ExtractionPlan(channel=channel)
+        index = victim.config.secrets.secret_bit_index(0)
+        n = 1_000_000
+        tracemalloc.start()
+        try:
+            rtts = session.collect_bit(plan, index, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rtts.shape == (n,)
+        assert peak <= 12 * n
 
     def test_proportion_z(self):
         assert attacker.proportion_z(np.array([1.0, 1.0]), 2.0) == math.inf

@@ -75,6 +75,26 @@ class TestLeakCommand:
                        "--out", str(tmp_path / "x"))
         assert code == cli.EXIT_UNREACHABLE
 
+    def test_config_latency_reaches_loopback_victim(self, tmp_path):
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text("[latency]\npreset = noiseless\nbase_ns = 100000\n")
+        base = ("leak", "loopback", "--n", "1000", "--bits", "8",
+                "--seed", "1")
+        runs = {"preset": ("--preset", "noiseless"),
+                "config": ("--config", str(cfg)),
+                "both": ("--preset", "noiseless", "--config", str(cfg))}
+        summaries = {}
+        for name, flags in runs.items():
+            out = tmp_path / name
+            run_cli(*base, *flags, "--out", str(out))
+            summaries[name] = (out / "summary.txt").read_text()
+        assert "projected_seconds_per_bit: 0.267" in summaries["preset"]
+        # 13 requests per measurement at 2 * 100 us + 0.5 us each
+        assert "projected_seconds_per_bit: 2.607" in summaries["config"]
+        assert "preset: noiseless" in summaries["config"]
+        # an explicit --preset wins over the file's [latency] section
+        assert "projected_seconds_per_bit: 0.267" in summaries["both"]
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[victim]\nclock_mode = sundial\n")

@@ -327,6 +327,28 @@ class TestBatchEquivalence:
             assert (a == b).all()
         pair.assert_state_matches()
 
+    def test_cache_leak_across_chunk_boundary(self):
+        # a fresh victim's flag starts uncached, so iteration 0 misses; a
+        # small download evicts rarely, so that miss stands out
+        pair = _Pair(secrets=SECRETS)
+        plan = ExtractionPlan(channel="cache", mistrain_count=2,
+                              reset_bytes=10_000)
+        index = SECRETS.secret_bit_index(1)          # a 0 bit: no fill
+        a = pair.slow.collect_bit(plan, index, n=wire.CHUNK + 1)
+        b = pair.batch.collect_bit(plan, index, n=wire.CHUNK + 1)
+        assert a[0] == a.max() > np.median(a)
+        assert (a == b).all()
+        pair.assert_state_matches()
+
+    def test_value_cmp_across_chunk_boundary(self):
+        pair = _Pair(value_secret=10)
+        plan = ExtractionPlan(mistrain_count=2, reset_bytes=10_000)
+        a = pair.slow.collect_value(10, wire.CHUNK + 1, plan)   # never fires
+        b = pair.batch.collect_value(10, wire.CHUNK + 1, plan)
+        assert a[0] == a.max() > np.median(a)
+        assert (a == b).all()
+        pair.assert_state_matches()
+
     def test_batch_requires_virtual_clock(self):
         victim = _victim(clock_mode="wall")
         with pytest.raises(ConfigError):

@@ -110,6 +110,22 @@ class TestLatencyModel:
         with pytest.raises(ValueError):
             LatencyModel(sigma_ns=-1.0)
 
+    @pytest.mark.parametrize("distribution", ["gaussian", "lognormal"])
+    @pytest.mark.parametrize("n", [1, wire.CHUNK - 1, wire.CHUNK,
+                                   wire.CHUNK + 1, 2 * wire.CHUNK + 1])
+    def test_vector_rtt_matches_scalar_draws(self, distribution, n):
+        # the vector path draws its noise a chunk at a time; it must still
+        # equal n scalar draws from an identically seeded generator
+        model = LatencyModel(base_ns=100.0, sigma_ns=15_600.0,
+                             distribution=distribution)
+        server_ns = np.arange(n, dtype=float) % 7 * 80.0
+        rng = np.random.default_rng(5)
+        expected = np.array([model.rtt(s, rng) for s in server_ns])
+        rtts = model.rtt(server_ns.copy(), np.random.default_rng(5), size=n)
+        assert rtts.shape == (n,)
+        assert (rtts == expected).all()
+        assert (rtts == 0.0).any()    # at this seed every case hits the clamp
+
 
 class TestLoopbackTransport:
     def test_rtt_composition(self):
