@@ -20,11 +20,9 @@ import numpy as np
 
 from . import stats, wire
 from .stats import HistogramSpec
+from .victim import Victim, VictimConfig
 from .wire import (LoopbackTransport, RequestPacket, RequestTimeout,
                    STATUS_BAD_ARG, STATUS_OK, WireError)
-
-_LEAK_OPS = {"cache": wire.OP_LEAK_CACHE, "avx": wire.OP_LEAK_AVX}
-_TRANSMIT_OPS = {"cache": wire.OP_TRANSMIT_CACHE, "avx": wire.OP_TRANSMIT_AVX}
 
 
 class CalibrationError(RuntimeError):
@@ -52,7 +50,7 @@ class ExtractionPlan:
     projected_packet_ns: Optional[float] = None  # per-packet cost for rate projection
 
     def validate(self) -> None:
-        if self.channel not in _LEAK_OPS:
+        if self.channel not in ("cache", "avx"):
             raise ValueError(f"unknown channel {self.channel!r}")
         if self.measurements_per_bit < 1:
             raise ValueError("need at least one measurement per bit")
@@ -148,141 +146,78 @@ class Session:
         cycles *= t.victim.config.cycle_time_ns
         return t.latency.rtt(cycles, t.rng, size=cycles.shape[0])
 
+    def _collect(self, schedule: list, n: int,
+                 kernel: Callable[[Victim], np.ndarray]) -> np.ndarray:
+        """n iterations of ``schedule``; returns the round-trip time of each
+        iteration's last request.  Batched, ``kernel(victim)`` runs the
+        victim's closed form of the same n iterations instead."""
+        if self.batched:
+            cycles = kernel(self.transport.victim)
+            self.counters.update(wire.schedule_counts(schedule, n))
+            return self._batch_rtts(cycles)
+        *steps, (timed_op, timed_arg) = schedule
+        request, advance = self.request, wire.OP_ADVANCE_CLOCK
+        out = np.empty(n)
+        for i in range(n):
+            for op, arg in steps:
+                if op == advance:
+                    self._advance_or_wait(arg)
+                else:
+                    request(op, arg)
+            out[i] = request(timed_op, timed_arg)[1]
+        return out
+
     def collect_bit(self, plan: ExtractionPlan, bit_index: int,
                     n: Optional[int] = None) -> np.ndarray:
         """n iterations of mistrain / reset / leak / transmit; returns the
         transmit round-trip times."""
         plan.validate()
         n = plan.measurements_per_bit if n is None else n
-        if self.batched:
-            v = self.transport.victim
-            if plan.channel == "cache":
-                cycles = v.batch_leak_cache(bit_index, n, plan.mistrain_count,
-                                            plan.reset_bytes, plan.mistrain_index)
-                self.counters[wire.OP_LEAK_CACHE] += (plan.mistrain_count + 1) * n
-                self.counters[wire.OP_DOWNLOAD] += n
-                self.counters[wire.OP_TRANSMIT_CACHE] += n
-            else:
-                cycles = v.batch_leak_avx(bit_index, n, plan.mistrain_count,
-                                          plan.avx_wait_ns, plan.mistrain_index)
-                self.counters[wire.OP_LEAK_AVX] += (plan.mistrain_count + 1) * n
-                self.counters[wire.OP_ADVANCE_CLOCK] += n
-                self.counters[wire.OP_TRANSMIT_AVX] += n
-            return self._batch_rtts(cycles)
-
-        leak_op = _LEAK_OPS[plan.channel]
-        transmit_op = _TRANSMIT_OPS[plan.channel]
-        out = np.empty(n)
-        for i in range(n):
-            for _ in range(plan.mistrain_count):
-                self.request(leak_op, plan.mistrain_index)
-            if plan.channel == "cache":
-                self.request(wire.OP_DOWNLOAD, plan.reset_bytes)
-            else:
-                self._advance_or_wait(plan.avx_wait_ns)
-            self.request(leak_op, bit_index)
-            _, rtt = self.request(transmit_op)
-            out[i] = rtt
-        return out
+        m, index = plan.mistrain_count, plan.mistrain_index
+        if plan.channel == "cache":
+            return self._collect(
+                wire.leak_schedule("cache", bit_index, m, index, plan.reset_bytes),
+                n, lambda v: v.batch_leak_cache(bit_index, n, m, plan.reset_bytes,
+                                                index))
+        return self._collect(
+            wire.leak_schedule("avx", bit_index, m, index, plan.avx_wait_ns),
+            n, lambda v: v.batch_leak_avx(bit_index, n, m, plan.avx_wait_ns, index))
 
     def collect_corner(self, channel: str, corner: str, n: int,
                        plan: Optional[ExtractionPlan] = None) -> np.ndarray:
-        plan = plan or ExtractionPlan(channel=channel if channel != "aslr" else "cache")
-        if self.batched:
-            v = self.transport.victim
-            cycles = v.batch_corner(channel, corner, n, plan.reset_bytes,
-                                    plan.avx_wait_ns)
-            self._count_corner(channel, corner, n)
-            return self._batch_rtts(cycles)
-
-        out = np.empty(n)
-        for i in range(n):
-            if channel in ("cache", "value"):
-                if corner == "hit":
-                    self.request(wire.OP_TRANSMIT_CACHE)
-                else:
-                    self.request(wire.OP_DOWNLOAD, plan.reset_bytes)
-                _, rtt = self.request(wire.OP_TRANSMIT_CACHE)
-            elif channel == "avx":
-                if corner == "hit":
-                    self.request(wire.OP_TRANSMIT_AVX)
-                else:
-                    self._advance_or_wait(plan.avx_wait_ns)
-                _, rtt = self.request(wire.OP_TRANSMIT_AVX)
-            elif channel == "aslr":
-                space = 1 << self._aslr_space_bits()
-                for _ in range(2):
-                    self.request(wire.OP_ASLR_PROBE, 0)   # empty range: training
-                lo, hi = (0, space) if corner == "hit" else (space, space + 1)
-                self.request(wire.OP_ASLR_PROBE, (lo << 32) | hi)
-                _, rtt = self.request(wire.OP_TIMING_FN)
-            else:
-                raise ValueError(f"unknown channel {channel!r}")
-            out[i] = rtt
-        return out
-
-    def _count_corner(self, channel: str, corner: str, n: int) -> None:
-        if channel in ("cache", "value"):
-            if corner == "hit":
-                self.counters[wire.OP_TRANSMIT_CACHE] += 2 * n
-            else:
-                self.counters[wire.OP_DOWNLOAD] += n
-                self.counters[wire.OP_TRANSMIT_CACHE] += n
-        elif channel == "avx":
-            if corner == "hit":
-                self.counters[wire.OP_TRANSMIT_AVX] += 2 * n
-            else:
-                self.counters[wire.OP_ADVANCE_CLOCK] += n
-                self.counters[wire.OP_TRANSMIT_AVX] += n
-        else:
-            self.counters[wire.OP_ASLR_PROBE] += 3 * n
-            self.counters[wire.OP_TIMING_FN] += n
+        plan = plan or ExtractionPlan()
+        schedule = wire.corner_schedule(channel, corner, self._aslr_space_bits(),
+                                        plan.reset_bytes, plan.avx_wait_ns)
+        return self._collect(schedule, n, lambda v: v.batch_corner(
+            channel, corner, n, plan.reset_bytes, plan.avx_wait_ns))
 
     def collect_value(self, guess: int, n: int,
                       plan: Optional[ExtractionPlan] = None) -> np.ndarray:
         plan = plan or ExtractionPlan()
-        if self.batched:
-            v = self.transport.victim
-            cycles = v.batch_value_cmp(guess, n, plan.mistrain_count,
-                                       plan.reset_bytes)
-            self.counters[wire.OP_VALUE_CMP] += (plan.mistrain_count + 1) * n
-            self.counters[wire.OP_DOWNLOAD] += n
-            self.counters[wire.OP_TRANSMIT_CACHE] += n
-            return self._batch_rtts(cycles)
-
-        out = np.empty(n)
-        for i in range(n):
-            for _ in range(plan.mistrain_count):
-                self.request(wire.OP_VALUE_CMP, 0)
-            self.request(wire.OP_DOWNLOAD, plan.reset_bytes)
-            self.request(wire.OP_VALUE_CMP, guess)
-            _, rtt = self.request(wire.OP_TRANSMIT_CACHE)
-            out[i] = rtt
-        return out
+        m = plan.mistrain_count
+        return self._collect(
+            wire.value_schedule(guess, m, plan.reset_bytes), n,
+            lambda v: v.batch_value_cmp(guess, n, m, plan.reset_bytes))
 
     def collect_aslr(self, lo: int, hi: int, n: int,
                      mistrain: int = 10) -> np.ndarray:
-        if self.batched:
-            v = self.transport.victim
-            cycles = v.batch_aslr_check(lo, hi, n, mistrain)
-            self.counters[wire.OP_ASLR_PROBE] += (mistrain + 1) * n
-            self.counters[wire.OP_TIMING_FN] += n
-            return self._batch_rtts(cycles)
-
-        out = np.empty(n)
-        arg = (lo << 32) | hi
-        for i in range(n):
-            for _ in range(mistrain):
-                self.request(wire.OP_ASLR_PROBE, 0)
-            self.request(wire.OP_ASLR_PROBE, arg)
-            _, rtt = self.request(wire.OP_TIMING_FN)
-            out[i] = rtt
-        return out
+        return self._collect(wire.aslr_schedule(lo, hi, mistrain), n,
+                             lambda v: v.batch_aslr_check(lo, hi, n, mistrain))
 
     def _aslr_space_bits(self) -> int:
         if isinstance(self.transport, LoopbackTransport):
             return self.transport.victim.config.aslr_space_bits
         return 32   # full probe width; callers pass explicit ranges over UDP
+
+
+def loopback_session(cfg: VictimConfig, seed: int) -> Session:
+    """A batched session against a fresh in-process victim.  The seed's
+    first child stream drives the victim, the second the transport noise,
+    so a seed fixes every output of a virtual-clock run."""
+    victim_seed, transport_seed = np.random.SeedSequence(seed).spawn(2)
+    victim = Victim(cfg, rng=np.random.default_rng(victim_seed))
+    return Session(LoopbackTransport(victim, cfg.latency,
+                                     np.random.default_rng(transport_seed)))
 
 
 # ---------------------------------------------------------------------------

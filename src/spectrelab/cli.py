@@ -23,8 +23,7 @@ import numpy as np
 from . import attacker, config as config_mod, figures, stats, wire
 from .attacker import CalibrationError, ExtractionError, ExtractionPlan, Session
 from .victim import ConfigError, Victim, VictimConfig
-from .wire import (LatencyModel, LoopbackTransport, RequestTimeout,
-                   UDPTransport)
+from .wire import LatencyModel, RequestTimeout, UDPTransport
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,10 +62,8 @@ def _open_target(args, cfg: VictimConfig, seed: int):
     """Return (session, victim-or-None).  'loopback' builds an in-process
     victim; anything else is host[:port] over UDP."""
     if args.target == "loopback":
-        seq = np.random.SeedSequence(seed)
-        v_rng, a_rng = (np.random.default_rng(s) for s in seq.spawn(2))
-        victim = Victim(cfg, rng=v_rng)
-        return Session(LoopbackTransport(victim, cfg.latency, a_rng)), victim
+        session = attacker.loopback_session(cfg, seed)
+        return session, session.transport.victim
     host, _, port = args.target.partition(":")
     transport = UDPTransport(host, int(port) if port else wire.DEFAULT_PORT)
     session = Session(transport)

@@ -29,7 +29,6 @@ from .victim import ConfigError, VictimConfig
 from .wire import LatencyModel, PRESET_SIGMAS_NS
 
 _VICTIM_KEYS = {
-    "array_length": int,
     "valid_aslr_offset": int,
     "aslr_space_bits": int,
     "value_secret": int,
@@ -141,7 +140,6 @@ def dump_config(cfg: VictimConfig) -> str:
         "[victim]",
         f"public_zero_bytes = {cfg.secrets.bitstream_length // 8}",
         f"secret_hex = {secret_bytes.hex()}",
-        f"array_length = {cfg.array_length}",
         f"valid_aslr_offset = {cfg.valid_aslr_offset}",
         f"aslr_space_bits = {cfg.aslr_space_bits}",
         f"value_secret = {cfg.value_secret}",

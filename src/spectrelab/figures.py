@@ -15,10 +15,10 @@ import os
 import numpy as np
 
 from . import attacker, stats, uarch, wire
-from .attacker import ExtractionPlan, Session
+from .attacker import ExtractionPlan
 from .stats import HistogramSpec
-from .victim import Victim, VictimConfig
-from .wire import LatencyModel, LoopbackTransport
+from .victim import VictimConfig
+from .wire import LatencyModel
 
 FIGURE_IDS = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig10")
 
@@ -31,10 +31,7 @@ def _session(seed: int, sigma_ns: float, config: VictimConfig | None = None):
     cfg = config or VictimConfig()
     cfg.latency = LatencyModel(base_ns=10_000.0, sigma_ns=sigma_ns,
                                name="figure")
-    seq = np.random.SeedSequence(seed)
-    v_rng, a_rng = (np.random.default_rng(s) for s in seq.spawn(2))
-    victim = Victim(cfg, rng=v_rng)
-    return Session(LoopbackTransport(victim, cfg.latency, a_rng))
+    return attacker.loopback_session(cfg, seed)
 
 
 def _write_rows(path: str, header: list[str], rows) -> None:

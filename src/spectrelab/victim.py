@@ -37,7 +37,6 @@ class VictimConfig:
 
     secrets: SecretStore = field(
         default_factory=lambda: SecretStore.with_secret(b"\x00" * 16, b"d"))
-    array_length: int = 1024           # in-bounds elements of the probe array
     valid_aslr_offset: int = 0
     aslr_space_bits: int = 20
     value_secret: int = 0
@@ -178,11 +177,15 @@ class Victim:
 
     # -- batched execution (loopback fast path) --------------------------
     #
-    # Each batch replays n iterations of a fixed request schedule and
-    # returns the server cycles of the one measured request per iteration.
-    # Counters, clock, rng consumption, and final state match the
-    # per-request loop; with a noiseless transport the returned cycles are
-    # bit-identical to it (see tests).
+    # Each batch runs n iterations of one wire schedule in closed form and
+    # returns the server cycles of each iteration's timed request.
+    # Counters, clock and final state match the per-request loop, and with
+    # a noiseless transport the returned cycles are bit-identical to it
+    # (see tests).  So do the generator draws, except under mitigation
+    # noise: the per-request loop draws one normal per request, a batch
+    # one per timed request.  The closed forms assume that training
+    # saturates the predictor: mistrain_count >= 2 on an in-bounds
+    # mistrain_index (an out-of-bounds one trains "not taken").
 
     def _batch_prologue(self, n: int, mistrain: int) -> None:
         if self.config.clock_mode != "virtual":
@@ -194,9 +197,15 @@ class Victim:
         if n <= 0:
             raise ValueError("batch size must be positive")
 
-    def _finish(self, cycles: np.ndarray, requests: int) -> np.ndarray:
+    def _finish(self, cycles: np.ndarray, schedule: list, n: int) -> np.ndarray:
+        """Account n iterations of ``schedule``: count its requests, advance
+        the clock by its waits and by every request, and add the
+        mitigation noise to the timed requests' cycles."""
         cfg = self.config
-        self.state.clock.advance(requests * cfg.per_request_ns)
+        self.counters.update(wire.schedule_counts(schedule, n))
+        clock = self.state.clock
+        clock.advance(n * sum(a for op, a in schedule if op == wire.OP_ADVANCE_CLOCK))
+        clock.advance(len(schedule) * n * cfg.per_request_ns)
         if cfg.mitigation_noise_sigma_ns > 0:
             for view in wire.chunks(cycles):
                 view += self.rng.normal(0.0, cfg.mitigation_noise_sigma_ns,
@@ -204,20 +213,23 @@ class Victim:
                 np.maximum(0.0, view, out=view)
         return cycles
 
-    def _cache_transmit_batch(self, n: int, effect: bool, reset_bytes: int,
-                              counter_ops: dict[int, int],
+    def _cache_transmit_batch(self, schedule: list, n: int, effect: bool,
                               mistrain_fills_flag: bool) -> np.ndarray:
         """Common core of the cache-channel loops: thrash, optional cache
         fill, transmit.  ``effect`` is whether the speculative fill fires;
         ``mistrain_fills_flag`` is whether the training accesses already
         cache the variable before the thrash."""
         cfg = self.config
+        cache = self.state.cache
+        reset_bytes = dict(schedule)[wire.OP_DOWNLOAD]
         p_evict = uarch.thrash_probability(reset_bytes, cfg.thrash_lambda)
         hit = float(cfg.handler_cycles + cfg.hit_cycles)
         cycles = np.empty(n)
         for view in wire.chunks(cycles):
             # one eviction draw per iteration, used or not
             self.rng.random(out=view)
+            if cache.aslr_cached_offset is not None and (view < p_evict).any():
+                cache.aslr_cached_offset = None      # evicted with the flag
             if effect:
                 view.fill(hit)
             else:
@@ -226,14 +238,10 @@ class Victim:
                 view += hit
         # iteration 0 starts from the live flag state; afterwards the
         # transmit access has re-cached the variable
-        if not (effect or self.state.cache.flag_cached or mistrain_fills_flag):
+        if not (effect or cache.flag_cached or mistrain_fills_flag):
             cycles[0] = cfg.handler_cycles + cfg.miss_cycles
-
-        self.state.cache.flag_cached = True
-        for op, per_iter in counter_ops.items():
-            self.counters[op] += per_iter * n
-        requests = sum(counter_ops.values()) * n
-        return self._finish(cycles, requests)
+        cache.flag_cached = True
+        return self._finish(cycles, schedule, n)
 
     def batch_leak_cache(self, bit_index: int, n: int, mistrain: int = 10,
                          reset_bytes: int = uarch.THRASH_REFERENCE_BYTES,
@@ -246,15 +254,12 @@ class Victim:
         oob = not cfg.secrets.in_bounds(bit_index)
         effect = bool(bit) and (not oob or not cfg.mitigation_barrier)
         mistrain_warms = bool(cfg.secrets.bit(mistrain_index))
-        if mistrain_warms:
+        if mistrain_warms or (bit and not oob):
             self.state.cache.flag_value = True
         self._train_site(uarch.SITE_LEAK_CACHE, n, mistrain, True, not oob)
         return self._cache_transmit_batch(
-            n, effect, reset_bytes,
-            {wire.OP_LEAK_CACHE: mistrain + 1,
-             wire.OP_DOWNLOAD: 1,
-             wire.OP_TRANSMIT_CACHE: 1},
-            mistrain_fills_flag=mistrain_warms)
+            wire.leak_schedule("cache", bit_index, mistrain, mistrain_index,
+                               reset_bytes), n, effect, mistrain_warms)
 
     def batch_value_cmp(self, guess: int, n: int, mistrain: int = 10,
                         reset_bytes: int = uarch.THRASH_REFERENCE_BYTES) -> np.ndarray:
@@ -274,11 +279,7 @@ class Victim:
         self._train_site(uarch.SITE_VALUE, n, mistrain, trains,
                          guess < cfg.value_secret)
         return self._cache_transmit_batch(
-            n, effect, reset_bytes,
-            {wire.OP_VALUE_CMP: mistrain + 1,
-             wire.OP_DOWNLOAD: 1,
-             wire.OP_TRANSMIT_CACHE: 1},
-            mistrain_fills_flag=fills)
+            wire.value_schedule(guess, mistrain, reset_bytes), n, effect, fills)
 
     def batch_leak_avx(self, bit_index: int, n: int, mistrain: int = 10,
                        wait_ns: float = 1_000_000.0,
@@ -309,12 +310,8 @@ class Victim:
             cycles[0] = cfg.handler_cycles + self.state.avx.cost(t0)
 
         self._train_site(uarch.SITE_LEAK_AVX, n, mistrain, True, not oob)
-        requests = (mistrain + 3) * n
-        self.counters[wire.OP_LEAK_AVX] += (mistrain + 1) * n
-        self.counters[wire.OP_ADVANCE_CLOCK] += n
-        self.counters[wire.OP_TRANSMIT_AVX] += n
-        self.state.clock.advance(n * wait_ns)
-        out = self._finish(cycles, requests)
+        out = self._finish(cycles, wire.leak_schedule(
+            "avx", bit_index, mistrain, mistrain_index, wait_ns), n)
         self.state.avx.last_use_ns = self.state.clock.now
         return out
 
@@ -331,56 +328,39 @@ class Victim:
             cycles[0] = cfg.handler_cycles + cfg.hit_cycles
         self.state.cache.aslr_cached_offset = None
         self._train_site(uarch.SITE_ASLR, n, mistrain, True, hi <= lo)
-        self.counters[wire.OP_ASLR_PROBE] += (mistrain + 1) * n
-        self.counters[wire.OP_TIMING_FN] += n
-        return self._finish(cycles, (mistrain + 2) * n)
+        return self._finish(cycles, wire.aslr_schedule(lo, hi, mistrain), n)
 
     def batch_corner(self, channel: str, corner: str, n: int,
                      reset_bytes: int = uarch.THRASH_REFERENCE_BYTES,
                      wait_ns: float = 1_000_000.0) -> np.ndarray:
-        """Calibration corners: force a known state, then measure.
-
-        cache/value hit: transmit twice, measure the second.
-        cache/value miss: download, then measure the transmit.
-        avx hit/miss: transmit pair, or wait then transmit.
-        aslr hit/miss: probe the full space (or nothing), then time.
-        """
+        """n iterations of wire.corner_schedule: force a known state, then
+        measure.  Returns the measured server cycles."""
         self._batch_prologue(n, mistrain=2)
         cfg = self.config
+        schedule = wire.corner_schedule(channel, corner, cfg.aslr_space_bits,
+                                        reset_bytes, wait_ns)
         if channel in ("cache", "value"):
             if corner == "hit":
                 # first transmit of each pair re-caches; the second is measured
                 cycles = np.full(n, float(cfg.handler_cycles + cfg.hit_cycles))
                 self.state.cache.flag_cached = True
-                self.counters[wire.OP_TRANSMIT_CACHE] += 2 * n
-                return self._finish(cycles, 2 * n)
-            return self._cache_transmit_batch(
-                n, False, reset_bytes,
-                {wire.OP_DOWNLOAD: 1, wire.OP_TRANSMIT_CACHE: 1}, False)
+                return self._finish(cycles, schedule, n)
+            return self._cache_transmit_batch(schedule, n, False, False)
         if channel == "avx":
             if corner == "hit":
                 cycles = np.full(n, float(cfg.handler_cycles + cfg.warm_cycles))
-                self.counters[wire.OP_TRANSMIT_AVX] += 2 * n
-                out = self._finish(cycles, 2 * n)
             else:
                 pr = cfg.per_request_ns
                 penalty = self.state.avx.penalty(wait_ns + 2 * pr)
                 cycles = np.full(n, float(cfg.handler_cycles + cfg.warm_cycles + penalty))
                 t0 = self.state.clock.now + pr + wait_ns + pr
                 cycles[0] = cfg.handler_cycles + self.state.avx.cost(t0)
-                self.counters[wire.OP_ADVANCE_CLOCK] += n
-                self.counters[wire.OP_TRANSMIT_AVX] += n
-                self.state.clock.advance(n * wait_ns)
-                out = self._finish(cycles, 2 * n)
+            out = self._finish(cycles, schedule, n)
             self.state.avx.last_use_ns = self.state.clock.now
             return out
-        if channel == "aslr":
-            if corner == "hit":
-                return self.batch_aslr_check(0, 1 << cfg.aslr_space_bits, n,
-                                             mistrain=2)
-            space = 1 << cfg.aslr_space_bits
-            return self.batch_aslr_check(space, space + 1, n, mistrain=2)
-        raise ValueError(f"unknown channel {channel!r}")
+        probe = schedule[-2][1]                    # the aslr range, packed
+        return self.batch_aslr_check(probe >> 32, probe & 0xFFFFFFFF, n,
+                                     mistrain=2)
 
     def _train_site(self, site: int, n: int, mistrain: int,
                     mistrain_taken: bool, measured_taken: bool) -> None:

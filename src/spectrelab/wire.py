@@ -15,6 +15,7 @@ import math
 import socket
 import struct
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,69 @@ VALID_OPCODES = frozenset(OP_NAMES)
 STATUS_OK = 0x00
 STATUS_BAD_OPCODE = 0x01
 STATUS_BAD_ARG = 0x02
+
+
+# ---------------------------------------------------------------------------
+# Measurement schedules
+# ---------------------------------------------------------------------------
+#
+# One iteration of a measurement loop as its (opcode, arg) requests in
+# order; the last one is timed.  The attacker sends them one at a time, or
+# asks a loopback victim for the closed form of n iterations, and both ends
+# count requests from the same schedule.
+
+def leak_schedule(channel: str, bit_index: int, mistrain: int,
+                  mistrain_index: int, reset_arg: float) -> list:
+    """Mistrain x m, reset the channel, leak, transmit.  The cache channel
+    resets by a download of ``reset_arg`` bytes, the avx channel by
+    ``reset_arg`` ns of idle time."""
+    if channel == "cache":
+        leak, reset, transmit = OP_LEAK_CACHE, OP_DOWNLOAD, OP_TRANSMIT_CACHE
+    else:
+        leak, reset, transmit = OP_LEAK_AVX, OP_ADVANCE_CLOCK, OP_TRANSMIT_AVX
+    return ([(leak, mistrain_index)] * mistrain
+            + [(reset, reset_arg), (leak, bit_index), (transmit, 0)])
+
+
+def value_schedule(guess: int, mistrain: int, reset_bytes: int) -> list:
+    """Mistrain with guess 0 x m, download, compare, transmit."""
+    return ([(OP_VALUE_CMP, 0)] * mistrain
+            + [(OP_DOWNLOAD, reset_bytes), (OP_VALUE_CMP, guess),
+               (OP_TRANSMIT_CACHE, 0)])
+
+
+def aslr_schedule(lo: int, hi: int, mistrain: int) -> list:
+    """Probe the empty range x m (training), probe [lo, hi), time."""
+    return ([(OP_ASLR_PROBE, 0)] * mistrain
+            + [(OP_ASLR_PROBE, (lo << 32) | hi), (OP_TIMING_FN, 0)])
+
+
+def corner_schedule(channel: str, corner: str, space_bits: int,
+                    reset_bytes: int, wait_ns: float) -> list:
+    """Calibration corners: force a known state, then measure.
+
+    cache/value hit: transmit twice, measure the second.
+    cache/value miss: download, then measure the transmit.
+    avx hit/miss: transmit pair, or wait then transmit.
+    aslr hit/miss: train twice, probe the full space (or the slot past
+    it), then time.
+    """
+    hit = corner == "hit"
+    if channel in ("cache", "value"):
+        first = (OP_TRANSMIT_CACHE, 0) if hit else (OP_DOWNLOAD, reset_bytes)
+        return [first, (OP_TRANSMIT_CACHE, 0)]
+    if channel == "avx":
+        first = (OP_TRANSMIT_AVX, 0) if hit else (OP_ADVANCE_CLOCK, wait_ns)
+        return [first, (OP_TRANSMIT_AVX, 0)]
+    if channel == "aslr":
+        space = 1 << space_bits
+        return aslr_schedule(0, space, 2) if hit else aslr_schedule(space, space + 1, 2)
+    raise ValueError(f"unknown channel {channel!r}")
+
+
+def schedule_counts(schedule: list, n: int) -> Counter:
+    """Requests per opcode in n iterations of ``schedule``."""
+    return Counter({op: k * n for op, k in Counter(op for op, _ in schedule).items()})
 
 
 class WireError(Exception):

@@ -8,6 +8,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectrelab import uarch, wire
 from spectrelab.attacker import ExtractionPlan, Session
@@ -349,6 +351,34 @@ class TestBatchEquivalence:
         assert (a == b).all()
         pair.assert_state_matches()
 
+    def test_cache_batch_evicts_cached_layout_offset(self):
+        # a download that evicts the flag evicts a cached layout offset too
+        pair = _Pair(valid_aslr_offset=5, aslr_space_bits=6)
+        for session in (pair.slow, pair.batch):
+            for lo, hi in ((0, 0), (0, 0), (0, 64)):    # train twice, probe
+                session.request(wire.OP_ASLR_PROBE, (lo << 32) | hi)
+        assert pair.vb.state.cache.aslr_cached_offset == 5
+        a = pair.slow.collect_value(0, 3)
+        b = pair.batch.collect_value(0, 3)
+        assert (a == b).all()
+        assert (pair.va.state.cache.aslr_cached_offset
+                == pair.vb.state.cache.aslr_cached_offset is None)
+        a = pair.slow.collect_aslr(10, 20, 2)       # does not cover 5: misses
+        b = pair.batch.collect_aslr(10, 20, 2)
+        assert a.tolist() == b.tolist() == [20600.0, 20600.0]
+        pair.assert_state_matches()
+
+    def test_cache_leak_of_in_bounds_set_bit(self):
+        # the architectural access of an in-bounds 1 bit sets the variable
+        secrets = SecretStore(bytes([0b01000000]) + b"\x0f", bitstream_length=8)
+        pair = _Pair(secrets=secrets)
+        plan = ExtractionPlan(channel="cache", mistrain_index=0)
+        a = pair.slow.collect_bit(plan, 1, n=3)
+        b = pair.batch.collect_bit(plan, 1, n=3)
+        assert (a == b).all()
+        assert pair.vb.state.cache.flag_value
+        pair.assert_state_matches()
+
     def test_batch_requires_virtual_clock(self):
         victim = _victim(clock_mode="wall")
         with pytest.raises(ConfigError):
@@ -360,3 +390,75 @@ class TestBatchEquivalence:
             victim.batch_leak_cache(0, 0)
         with pytest.raises(ValueError):
             victim.batch_leak_cache(0, 10, mistrain=1)
+
+
+_RESET_BYTES = (10_000, uarch.THRASH_REFERENCE_BYTES)
+
+
+@st.composite
+def _raw_request(draw):
+    """One request of any opcode, with an argument that exercises it."""
+    op = draw(st.sampled_from(sorted(wire.VALID_OPCODES)))
+    if op in (wire.OP_LEAK_CACHE, wire.OP_LEAK_AVX, wire.OP_VALUE_CMP):
+        arg = draw(st.integers(0, 15))
+    elif op == wire.OP_DOWNLOAD:
+        arg = draw(st.sampled_from(_RESET_BYTES))
+    elif op == wire.OP_ASLR_PROBE:
+        arg = (draw(st.integers(0, 64)) << 32) | draw(st.integers(0, 64))
+    elif op == wire.OP_ADVANCE_CLOCK:
+        arg = draw(st.integers(0, 2_000_000))
+    else:
+        arg = 0
+    return op, arg
+
+
+class TestBatchEquivalenceRandomized:
+    """Batched against per-request over drawn configs, prior states and
+    loops, bit-exact over a noiseless transport.  Mitigation noise stays
+    off: the per-request loop draws one victim normal per request, a batch
+    one per timed request, so their draws cannot match."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_collect_matches_per_request(self, data):
+        draw = data.draw
+        public, secret = draw(st.integers(0, 255)), draw(st.integers(0, 255))
+        pair = _Pair(secrets=SecretStore(bytes([public, secret]),
+                                         bitstream_length=8),
+                     mitigation_barrier=draw(st.booleans()),
+                     value_secret=draw(st.integers(0, 15)),
+                     valid_aslr_offset=draw(st.integers(0, 63)),
+                     aslr_space_bits=6)
+        kind = draw(st.sampled_from(["cache", "avx", "value", "aslr",
+                                     "corner"]))
+        plan = ExtractionPlan(channel="avx" if kind == "avx" else "cache",
+                              mistrain_count=draw(st.integers(2, 5)),
+                              mistrain_index=draw(st.integers(0, 7)),
+                              reset_bytes=draw(st.sampled_from(_RESET_BYTES)))
+        prefix = draw(st.lists(_raw_request(), max_size=30))
+        n = draw(st.integers(1, 12))
+        if kind in ("cache", "avx"):
+            index = draw(st.integers(0, 15))            # in or out of bounds
+            collect = lambda s: s.collect_bit(plan, index, n)
+        elif kind == "value":
+            guess = draw(st.integers(0, 15))
+            collect = lambda s: s.collect_value(guess, n, plan)
+        elif kind == "aslr":
+            lo, hi = draw(st.integers(0, 64)), draw(st.integers(0, 64))
+            collect = lambda s: s.collect_aslr(lo, hi, n, plan.mistrain_count)
+        else:
+            channel = draw(st.sampled_from(["cache", "value", "avx", "aslr"]))
+            corner = draw(st.sampled_from(["hit", "miss"]))
+            collect = lambda s: s.collect_corner(channel, corner, n, plan)
+
+        outs = []
+        for session in (pair.slow, pair.batch):
+            for op, arg in prefix:
+                session.request(op, arg)
+            outs.append(collect(session).tolist())
+        assert outs[0] == outs[1]
+        assert pair.slow.counters == pair.batch.counters
+        assert (pair.va.state.cache.aslr_cached_offset
+                == pair.vb.state.cache.aslr_cached_offset)
+        assert pair.slow.transport.rng.random() == pair.batch.transport.rng.random()
+        pair.assert_state_matches()
