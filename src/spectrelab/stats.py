@@ -57,6 +57,13 @@ class MeasurementSet:
             raise ValueError("empty measurement set")
 
 
+def _rtts(samples) -> np.ndarray:
+    """The samples of a MeasurementSet or of a non-empty array-like."""
+    if not isinstance(samples, MeasurementSet):
+        samples = MeasurementSet(samples)
+    return samples.rtts_ns
+
+
 def histogram(samples, spec: Optional[HistogramSpec] = None) -> Histogram:
     """Binned counts plus a mass-preserving moving average.
 
@@ -65,9 +72,7 @@ def histogram(samples, spec: Optional[HistogramSpec] = None) -> Histogram:
     """
     if spec is None:
         spec = HistogramSpec()
-    rtts = samples.rtts_ns if isinstance(samples, MeasurementSet) else np.asarray(samples, float)
-    if rtts.size == 0:
-        raise ValueError("empty measurement set")
+    rtts = _rtts(samples)
     w = spec.smoothing_window
     if spec.range_ns is None:
         pad = (w // 2 + 1) * spec.bin_width_ns
@@ -107,9 +112,7 @@ def bayes_classify(samples, calib) -> tuple[int, float]:
     (hit) class.  Falls back to the threshold rule when the calibrated
     dispersion is degenerate.
     """
-    rtts = samples.rtts_ns if isinstance(samples, MeasurementSet) else np.asarray(samples, float)
-    if rtts.size == 0:
-        raise ValueError("empty measurement set")
+    rtts = _rtts(samples)
     mean = float(rtts.mean())
     sigma = calib.sigma_est_ns
     if sigma <= 0:
@@ -127,7 +130,7 @@ def bayes_classify(samples, calib) -> tuple[int, float]:
 def dispersion(samples) -> tuple[float, float, float]:
     """Sample mean, sample standard deviation, and the fraction of samples
     within three estimated sigmas of the mean."""
-    rtts = samples.rtts_ns if isinstance(samples, MeasurementSet) else np.asarray(samples, float)
+    rtts = _rtts(samples)
     if rtts.size < 2:
         raise ValueError("need at least 2 samples")
     mean = float(rtts.mean())

@@ -1,7 +1,9 @@
 """The attackable service: dispatches wire opcodes to the gadget state
 machine, applies mitigations, accounts virtual time, and (for in-process
-experiments) exposes vectorized batch execution of the attacker's
-measurement loops.
+experiments) runs the attacker's measurement loops in batches.  A batch
+steps its loop through the same gadget dispatch a request uses until the
+state settles, then draws the rest of the loop vectorized; it matches the
+per-request loop except in its mitigation-noise draws.
 
 Request processing is strictly sequential; one victim owns one
 MicroarchState exclusively.
@@ -13,6 +15,7 @@ import socket
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -24,6 +27,21 @@ from .wire import (LatencyModel, RequestPacket, ResponsePacket, STATUS_BAD_ARG,
 
 DEFAULT_HANDLER_CYCLES = 1000   # fixed per-request work surrounding a gadget
 DEFAULT_PER_REQUEST_NS = 1000.0  # virtual-clock advance per request
+
+
+# Stand-ins for the victim's generator in a batch's trial iterations: the
+# download's eviction draw always evicts, or never does.
+_EVICT = SimpleNamespace(random=lambda: 0.0)
+_KEEP = SimpleNamespace(random=lambda: 1.0)
+
+
+def _returns(start: tuple, end: tuple) -> bool:
+    """Whether an iteration left every state the next one reads as it found
+    it.  The clock may move; the SIMD unit must be untouched or last used
+    the same time ago."""
+    (t0, *rest0, used0), (t1, *rest1, used1) = start, end
+    return rest0 == rest1 and (used1 == used0 or (
+        None not in (used0, used1) and t1 - used1 == t0 - used0))
 
 
 class ConfigError(ValueError):
@@ -104,14 +122,25 @@ class Victim:
         cfg = self.config
         self._tick()
         self.counters[packet.opcode] += 1
+        status, payload, cycles = self._dispatch(packet.opcode, packet.arg,
+                                                 self.rng)
+        if cfg.mitigation_noise_sigma_ns > 0:
+            extra_ns = self.rng.normal(0.0, cfg.mitigation_noise_sigma_ns)
+            cycles = max(0.0, cycles + extra_ns / cfg.cycle_time_ns)
 
+        if self._log is not None:
+            self._log.write(f"{packet.opcode:#04x} {packet.arg} {cycles:.3f}\n")
+
+        return ResponsePacket(status, packet.nonce, payload), cycles
+
+    def _dispatch(self, op: int, arg, rng) -> tuple[int, int, float]:
+        """Run one request's gadget; returns (status, payload, cycles).
+        ``rng`` supplies the download's eviction draw."""
+        cfg = self.config
+        st = self.state
         status = STATUS_OK
         payload = 0
         cycles = float(cfg.handler_cycles)
-        op = packet.opcode
-        arg = packet.arg
-        st = self.state
-
         if op == wire.OP_LEAK_CACHE:
             st.leak_gadget_cache(cfg.secrets, arg, cfg.mitigation_barrier)
         elif op == wire.OP_LEAK_AVX:
@@ -125,7 +154,7 @@ class Victim:
         elif op == wire.OP_TRANSMIT_AVX:
             cycles += st.transmit_gadget_avx()
         elif op == wire.OP_DOWNLOAD:
-            st.thrash(arg, self.rng, cfg.thrash_lambda)
+            st.thrash(arg, rng, cfg.thrash_lambda)
             payload = arg
         elif op == wire.OP_ASLR_PROBE:
             lo, hi = arg >> 32, arg & 0xFFFFFFFF
@@ -143,15 +172,7 @@ class Victim:
             st.reset_microarch()
         else:
             status = STATUS_BAD_OPCODE
-
-        if cfg.mitigation_noise_sigma_ns > 0:
-            extra_ns = self.rng.normal(0.0, cfg.mitigation_noise_sigma_ns)
-            cycles = max(0.0, cycles + extra_ns / cfg.cycle_time_ns)
-
-        if self._log is not None:
-            self._log.write(f"{op:#04x} {arg} {cycles:.3f}\n")
-
-        return ResponsePacket(status, packet.nonce, payload), cycles
+        return status, payload, cycles
 
     def handle_datagram(self, data: bytes) -> Optional[bytes]:
         """Wire-level entry point: decode, dispatch, inject the server-side
@@ -177,35 +198,43 @@ class Victim:
 
     # -- batched execution (loopback fast path) --------------------------
     #
-    # Each batch runs n iterations of one wire schedule in closed form and
-    # returns the server cycles of each iteration's timed request.
-    # Counters, clock and final state match the per-request loop, and with
-    # a noiseless transport the returned cycles are bit-identical to it
-    # (see tests).  So do the generator draws, except under mitigation
-    # noise: the per-request loop draws one normal per request, a batch
-    # one per timed request.  The closed forms assume that training
-    # saturates the predictor: mistrain_count >= 2 on an in-bounds
-    # mistrain_index (an out-of-bounds one trains "not taken").
+    # Each batch runs n iterations of one wire schedule and returns the
+    # server cycles of each iteration's timed request.  _run_batch steps
+    # the iterations through _dispatch, the same gadget code a request
+    # runs, until the state settles: until one iteration returns every
+    # state the next one reads to where it started, whichever way its
+    # download's eviction draw falls.  From there on an iteration differs
+    # from the next only in that draw, so the rest of the batch is one
+    # vectorized uniform per iteration choosing between the two timed
+    # cycle values found.  The predictor counter settles within three
+    # iterations (one iteration maps it by a monotone function), the cache
+    # flags at the first, a cached layout offset at the first eviction.
+    #
+    # Counters, clock, final state and generator draws match the
+    # per-request loop, and with a noiseless transport so do the returned
+    # cycles (see tests).  The exception is mitigation noise: per request,
+    # every request draws one normal; batched, only the timed ones do,
+    # after all of the batch's eviction draws.  Every wire schedule has at
+    # most one download, which is what one draw per iteration assumes.
 
-    def _batch_prologue(self, n: int, mistrain: int) -> None:
-        if self.config.clock_mode != "virtual":
+    def _run_batch(self, schedule: list, n: int) -> np.ndarray:
+        cfg = self.config
+        if cfg.clock_mode != "virtual":
             raise ConfigError("batched execution needs the virtual clock")
-        if mistrain < 2:
-            # a single training step may leave the predictor below the
-            # taken threshold; the closed form below assumes saturation
-            raise ValueError("batched loops need mistrain_count >= 2")
         if n <= 0:
             raise ValueError("batch size must be positive")
-
-    def _finish(self, cycles: np.ndarray, schedule: list, n: int) -> np.ndarray:
-        """Account n iterations of ``schedule``: count its requests, advance
-        the clock by its waits and by every request, and add the
-        mitigation noise to the timed requests' cycles."""
-        cfg = self.config
+        cycles = np.empty(n)
+        for i in range(n):
+            start = self._snapshot()
+            trials = []              # (timed cycles, end state) per forced draw
+            for forced in (_EVICT, _KEEP):
+                trials.append((self._iterate(schedule, forced), self._snapshot()))
+                self._restore(start)
+            if all(_returns(start, end) for _, end in trials):
+                self._fast_forward(schedule, cycles[i:], trials)
+                break
+            cycles[i] = self._iterate(schedule, self.rng)
         self.counters.update(wire.schedule_counts(schedule, n))
-        clock = self.state.clock
-        clock.advance(n * sum(a for op, a in schedule if op == wire.OP_ADVANCE_CLOCK))
-        clock.advance(len(schedule) * n * cfg.per_request_ns)
         if cfg.mitigation_noise_sigma_ns > 0:
             for view in wire.chunks(cycles):
                 view += self.rng.normal(0.0, cfg.mitigation_noise_sigma_ns,
@@ -213,167 +242,86 @@ class Victim:
                 np.maximum(0.0, view, out=view)
         return cycles
 
-    def _cache_transmit_batch(self, schedule: list, n: int, effect: bool,
-                              mistrain_fills_flag: bool) -> np.ndarray:
-        """Common core of the cache-channel loops: thrash, optional cache
-        fill, transmit.  ``effect`` is whether the speculative fill fires;
-        ``mistrain_fills_flag`` is whether the training accesses already
-        cache the variable before the thrash."""
-        cfg = self.config
-        cache = self.state.cache
-        reset_bytes = dict(schedule)[wire.OP_DOWNLOAD]
-        p_evict = uarch.thrash_probability(reset_bytes, cfg.thrash_lambda)
-        hit = float(cfg.handler_cycles + cfg.hit_cycles)
-        cycles = np.empty(n)
-        for view in wire.chunks(cycles):
-            # one eviction draw per iteration, used or not
-            self.rng.random(out=view)
-            if cache.aslr_cached_offset is not None and (view < p_evict).any():
-                cache.aslr_cached_offset = None      # evicted with the flag
-            if effect:
-                view.fill(hit)
-            else:
+    def _iterate(self, schedule: list, rng) -> float:
+        """One iteration through the gadgets; returns the timed cycles."""
+        for op, arg in schedule:
+            self._tick()
+            cycles = self._dispatch(op, arg, rng)[2]
+        return cycles
+
+    def _fast_forward(self, schedule: list, out: np.ndarray,
+                      trials: list) -> None:
+        """The remaining iterations of a settled batch: fill ``out`` from
+        one eviction draw each, and move the clock (and the SIMD unit's
+        last use, when an iteration touches it) past them."""
+        cfg, st = self.config, self.state
+        (evict, end), (keep, _) = trials
+        downloads = [arg for op, arg in schedule if op == wire.OP_DOWNLOAD]
+        if downloads:
+            p_evict = uarch.thrash_probability(downloads[0], cfg.thrash_lambda)
+            for view in wire.chunks(out):
+                self.rng.random(out=view)
                 np.less(view, p_evict, out=view)        # 1.0 where evicted
-                view *= cfg.miss_cycles - cfg.hit_cycles
-                view += hit
-        # iteration 0 starts from the live flag state; afterwards the
-        # transmit access has re-cached the variable
-        if not (effect or cache.flag_cached or mistrain_fills_flag):
-            cycles[0] = cfg.handler_cycles + cfg.miss_cycles
-        cache.flag_cached = True
-        return self._finish(cycles, schedule, n)
+                view *= evict - keep
+                view += keep
+        else:
+            out.fill(keep)
+        used = end[-1] != st.avx.last_use_ns    # an iteration runs a 256-bit op
+        age = st.clock.now - st.avx.last_use_ns if used else None
+        k = out.shape[0]
+        st.clock.advance(k * sum(arg for op, arg in schedule
+                                 if op == wire.OP_ADVANCE_CLOCK))
+        st.clock.advance(len(schedule) * k * cfg.per_request_ns)
+        if used:
+            st.avx.last_use_ns = st.clock.now - age
+
+    def _snapshot(self) -> tuple:
+        st = self.state
+        return (st.clock.now, dict(st.predictor.counters), st.cache.flag_cached,
+                st.cache.flag_value, st.cache.aslr_cached_offset,
+                st.avx.last_use_ns)
+
+    def _restore(self, snapshot: tuple) -> None:
+        st = self.state
+        (st.clock.now, counters, st.cache.flag_cached, st.cache.flag_value,
+         st.cache.aslr_cached_offset, st.avx.last_use_ns) = snapshot
+        st.predictor.counters = dict(counters)
 
     def batch_leak_cache(self, bit_index: int, n: int, mistrain: int = 10,
                          reset_bytes: int = uarch.THRASH_REFERENCE_BYTES,
                          mistrain_index: int = 0) -> np.ndarray:
         """n iterations of: mistrain x m, download, out-of-bounds leak,
         transmit.  Returns the transmit server cycles."""
-        self._batch_prologue(n, mistrain)
-        cfg = self.config
-        bit = cfg.secrets.bit(bit_index)
-        oob = not cfg.secrets.in_bounds(bit_index)
-        effect = bool(bit) and (not oob or not cfg.mitigation_barrier)
-        mistrain_warms = bool(cfg.secrets.bit(mistrain_index))
-        if mistrain_warms or (bit and not oob):
-            self.state.cache.flag_value = True
-        self._train_site(uarch.SITE_LEAK_CACHE, n, mistrain, True, not oob)
-        return self._cache_transmit_batch(
-            wire.leak_schedule("cache", bit_index, mistrain, mistrain_index,
-                               reset_bytes), n, effect, mistrain_warms)
+        return self._run_batch(wire.leak_schedule(
+            "cache", bit_index, mistrain, mistrain_index, reset_bytes), n)
 
     def batch_value_cmp(self, guess: int, n: int, mistrain: int = 10,
                         reset_bytes: int = uarch.THRASH_REFERENCE_BYTES) -> np.ndarray:
         """n iterations of: mistrain (guess 0) x m, download, compare,
         transmit.  Returns the transmit server cycles."""
-        self._batch_prologue(n, mistrain)
-        cfg = self.config
-        # guess < secret implies secret > 0, so training with guess 0 was
-        # effective whenever the comparison can fire at all
-        effect = guess < cfg.value_secret and not cfg.mitigation_barrier
-        trains = cfg.value_secret > 0
-        # the predictor speculates during training itself once its counter
-        # crosses the taken threshold, caching the variable before the
-        # thrash; only iteration 0 depends on the pre-batch counter
-        c0 = min(self.state.predictor.counters.get(uarch.SITE_VALUE, 0), 2)
-        fills = trains and mistrain >= 3 - c0 and not cfg.mitigation_barrier
-        self._train_site(uarch.SITE_VALUE, n, mistrain, trains,
-                         guess < cfg.value_secret)
-        return self._cache_transmit_batch(
-            wire.value_schedule(guess, mistrain, reset_bytes), n, effect, fills)
+        return self._run_batch(wire.value_schedule(guess, mistrain, reset_bytes), n)
 
     def batch_leak_avx(self, bit_index: int, n: int, mistrain: int = 10,
                        wait_ns: float = 1_000_000.0,
                        mistrain_index: int = 0) -> np.ndarray:
         """n iterations of: mistrain x m, advance clock, out-of-bounds leak,
         transmit.  Returns the transmit server cycles."""
-        self._batch_prologue(n, mistrain)
-        cfg = self.config
-        pr = cfg.per_request_ns
-        bit = cfg.secrets.bit(bit_index)
-        oob = not cfg.secrets.in_bounds(bit_index)
-        effect = bool(bit) and (not oob or not cfg.mitigation_barrier)
-        mistrain_warms = bool(cfg.secrets.bit(mistrain_index))
-
-        # idle time seen by the transmit gadget, per iteration
-        if effect:
-            idle = pr                                  # leak just ran the op
-        elif mistrain_warms:
-            idle = wait_ns + 3 * pr                    # last op: final mistrain
-        else:
-            idle = wait_ns + (mistrain + 3) * pr       # last op: prev transmit
-        penalty = self.state.avx.penalty(idle)
-        cycles = np.full(n, float(cfg.handler_cycles + cfg.warm_cycles + penalty))
-        if not effect and not mistrain_warms:
-            # iteration 0 measures against the live unit state instead of
-            # the previous transmit
-            t0 = self.state.clock.now + (mistrain + 2) * pr + wait_ns + pr
-            cycles[0] = cfg.handler_cycles + self.state.avx.cost(t0)
-
-        self._train_site(uarch.SITE_LEAK_AVX, n, mistrain, True, not oob)
-        out = self._finish(cycles, wire.leak_schedule(
+        return self._run_batch(wire.leak_schedule(
             "avx", bit_index, mistrain, mistrain_index, wait_ns), n)
-        self.state.avx.last_use_ns = self.state.clock.now
-        return out
 
     def batch_aslr_check(self, lo: int, hi: int, n: int,
                          mistrain: int = 10) -> np.ndarray:
         """n iterations of: mistrain x m, range probe [lo, hi), timing
         function.  Returns the timing-function server cycles."""
-        self._batch_prologue(n, mistrain)
-        cfg = self.config
-        covered = (lo <= cfg.valid_aslr_offset < hi) and not cfg.mitigation_barrier
-        cycles = np.full(n, float(cfg.handler_cycles +
-                                  (cfg.hit_cycles if covered else cfg.miss_cycles)))
-        if not covered and self.state.cache.aslr_cached_offset == cfg.valid_aslr_offset:
-            cycles[0] = cfg.handler_cycles + cfg.hit_cycles
-        self.state.cache.aslr_cached_offset = None
-        self._train_site(uarch.SITE_ASLR, n, mistrain, True, hi <= lo)
-        return self._finish(cycles, wire.aslr_schedule(lo, hi, mistrain), n)
+        return self._run_batch(wire.aslr_schedule(lo, hi, mistrain), n)
 
     def batch_corner(self, channel: str, corner: str, n: int,
                      reset_bytes: int = uarch.THRASH_REFERENCE_BYTES,
                      wait_ns: float = 1_000_000.0) -> np.ndarray:
         """n iterations of wire.corner_schedule: force a known state, then
         measure.  Returns the measured server cycles."""
-        self._batch_prologue(n, mistrain=2)
-        cfg = self.config
-        schedule = wire.corner_schedule(channel, corner, cfg.aslr_space_bits,
-                                        reset_bytes, wait_ns)
-        if channel in ("cache", "value"):
-            if corner == "hit":
-                # first transmit of each pair re-caches; the second is measured
-                cycles = np.full(n, float(cfg.handler_cycles + cfg.hit_cycles))
-                self.state.cache.flag_cached = True
-                return self._finish(cycles, schedule, n)
-            return self._cache_transmit_batch(schedule, n, False, False)
-        if channel == "avx":
-            if corner == "hit":
-                cycles = np.full(n, float(cfg.handler_cycles + cfg.warm_cycles))
-            else:
-                pr = cfg.per_request_ns
-                penalty = self.state.avx.penalty(wait_ns + 2 * pr)
-                cycles = np.full(n, float(cfg.handler_cycles + cfg.warm_cycles + penalty))
-                t0 = self.state.clock.now + pr + wait_ns + pr
-                cycles[0] = cfg.handler_cycles + self.state.avx.cost(t0)
-            out = self._finish(cycles, schedule, n)
-            self.state.avx.last_use_ns = self.state.clock.now
-            return out
-        probe = schedule[-2][1]                    # the aslr range, packed
-        return self.batch_aslr_check(probe >> 32, probe & 0xFFFFFFFF, n,
-                                     mistrain=2)
-
-    def _train_site(self, site: int, n: int, mistrain: int,
-                    mistrain_taken: bool, measured_taken: bool) -> None:
-        """Set the predictor counter to what n iterations of (mistrain
-        trainings + one measured training) leave behind.  The trajectory
-        reaches a fixed point within a few iterations, so simulating a
-        handful is exact for any n."""
-        c = self.state.predictor.counters.get(site, 0)
-        for _ in range(min(n, 4)):
-            for _ in range(min(mistrain, 4)):
-                c = min(c + 1, 3) if mistrain_taken else max(c - 1, 0)
-            c = min(c + 1, 3) if measured_taken else max(c - 1, 0)
-        self.state.predictor.counters[site] = c
+        return self._run_batch(wire.corner_schedule(
+            channel, corner, self.config.aslr_space_bits, reset_bytes, wait_ns), n)
 
     # -- serving ---------------------------------------------------------
 

@@ -62,7 +62,7 @@ STATUS_BAD_ARG = 0x02
 #
 # One iteration of a measurement loop as its (opcode, arg) requests in
 # order; the last one is timed.  The attacker sends them one at a time, or
-# asks a loopback victim for the closed form of n iterations, and both ends
+# asks a loopback victim to run n iterations as one batch, and both ends
 # count requests from the same schedule.
 
 def leak_schedule(channel: str, bit_index: int, mistrain: int,

@@ -388,8 +388,6 @@ class TestBatchEquivalence:
         victim = _victim()
         with pytest.raises(ValueError):
             victim.batch_leak_cache(0, 0)
-        with pytest.raises(ValueError):
-            victim.batch_leak_cache(0, 10, mistrain=1)
 
 
 _RESET_BYTES = (10_000, uarch.THRASH_REFERENCE_BYTES)
@@ -414,9 +412,10 @@ def _raw_request(draw):
 
 class TestBatchEquivalenceRandomized:
     """Batched against per-request over drawn configs, prior states and
-    loops, bit-exact over a noiseless transport.  Mitigation noise stays
-    off: the per-request loop draws one victim normal per request, a batch
-    one per timed request, so their draws cannot match."""
+    loops, bit-exact over a noiseless transport.  The training index may
+    be out of bounds and a loop may train only once.  Mitigation noise
+    stays off: the per-request loop draws one victim normal per request, a
+    batch one per timed request, so their draws cannot match."""
 
     @settings(max_examples=600, deadline=None, derandomize=True)
     @given(st.data())
@@ -432,8 +431,8 @@ class TestBatchEquivalenceRandomized:
         kind = draw(st.sampled_from(["cache", "avx", "value", "aslr",
                                      "corner"]))
         plan = ExtractionPlan(channel="avx" if kind == "avx" else "cache",
-                              mistrain_count=draw(st.integers(2, 5)),
-                              mistrain_index=draw(st.integers(0, 7)),
+                              mistrain_count=draw(st.integers(1, 5)),
+                              mistrain_index=draw(st.integers(0, 15)),
                               reset_bytes=draw(st.sampled_from(_RESET_BYTES)))
         prefix = draw(st.lists(_raw_request(), max_size=30))
         n = draw(st.integers(1, 12))

@@ -1,0 +1,92 @@
+"""Print one digest line per configuration of the measurement loops, on the
+batched and on the per-request path.
+
+A digest hashes every ``Session.collect_*`` output of one seeded run (all
+eight calibration corners, four cache and four AVX bits, four value
+guesses, three layout ranges), both request counters, the clock, the
+predictor, cache and SIMD state, and the next draw of the victim's and the
+transport's generators.  Two checkouts that print the same lines behave the
+same on every path covered, bit for bit:
+
+    PYTHONPATH=old/src python3 tools/batch_digest.py > old.txt
+    PYTHONPATH=new/src python3 tools/batch_digest.py > new.txt
+    diff old.txt new.txt
+
+The grid: four latency models (Gaussian, lognormal, Gaussian with the
+clamp at 0 active, noiseless) x mitigation noise 0 / 300 ns x barrier off
+/ on x a warm / cold training index x n in {1, 2, 65537} batched, or
+n in {1, 2, 7} per request.  The whole grid takes a few seconds.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+
+import numpy as np
+
+from spectrelab.attacker import ExtractionPlan, Session
+from spectrelab.uarch import SecretStore
+from spectrelab.victim import Victim, VictimConfig
+from spectrelab.wire import LatencyModel, LoopbackTransport
+
+LATENCIES = {
+    "gaussian": LatencyModel.preset("local", base_ns=100_000.0),
+    "lognormal": LatencyModel.preset("local", base_ns=100_000.0,
+                                     distribution="lognormal"),
+    "clamped": LatencyModel(base_ns=0.0, sigma_ns=52_300.0, name="cloud"),
+    "noiseless": LatencyModel.noiseless(),
+}
+# public bits 1000 0000 0000 0000: index 0 trains on a 1 (warm), 8 on a 0
+SECRETS = SecretStore.with_secret(b"\x80\x00", b"\x96\x3c")
+TRAINING_INDEX = {"warm": 0, "cold": 8}
+SIZES = {"batched": (1, 2, 65537), "per-request": (1, 2, 7)}
+
+
+def run(latency, noise_ns, barrier, index, batched, n, seed=11) -> str:
+    cfg = VictimConfig(secrets=SECRETS, valid_aslr_offset=777,
+                       aslr_space_bits=12, value_secret=4242,
+                       mitigation_barrier=barrier,
+                       mitigation_noise_sigma_ns=noise_ns, latency=latency)
+    victim_seed, transport_seed = np.random.SeedSequence(seed).spawn(2)
+    victim = Victim(cfg, rng=np.random.default_rng(victim_seed))
+    session = Session(LoopbackTransport(victim, latency,
+                                        np.random.default_rng(transport_seed)),
+                      batched=batched)
+    cache = ExtractionPlan(channel="cache", mistrain_index=index)
+    avx = ExtractionPlan(channel="avx", mistrain_index=index)
+    h = hashlib.sha256()
+    for channel in ("cache", "value", "avx", "aslr"):
+        for corner in ("hit", "miss"):
+            h.update(session.collect_corner(channel, corner, n, cache).tobytes())
+    for plan in (cache, avx):
+        for bit in (0, 1, 2, 7):
+            h.update(session.collect_bit(plan, SECRETS.secret_bit_index(bit),
+                                         n).tobytes())
+    for guess in (0, 4241, 4242, 9000):
+        h.update(session.collect_value(guess, n, cache).tobytes())
+    for lo, hi in ((0, 2048), (512, 1024), (777, 778)):
+        h.update(session.collect_aslr(lo, hi, n).tobytes())
+    st = victim.state
+    h.update(repr((sorted(session.counters.items()),
+                   sorted(victim.counters.items()), st.clock.now,
+                   sorted(st.predictor.counters.items()), st.cache.flag_cached,
+                   st.cache.flag_value, st.cache.aslr_cached_offset,
+                   st.avx.last_use_ns, victim.rng.random(),
+                   session.transport.rng.random())).encode())
+    return h.hexdigest()[:16]
+
+
+def main() -> None:
+    for path, (name, latency), noise_ns, barrier, warmth in itertools.product(
+            SIZES, LATENCIES.items(), (0.0, 300.0), (False, True),
+            TRAINING_INDEX):
+        for n in SIZES[path]:
+            digest = run(latency, noise_ns, barrier, TRAINING_INDEX[warmth],
+                         path == "batched", n)
+            print(f"{path} {name} noise={noise_ns:g} barrier={int(barrier)} "
+                  f"index={warmth} n={n} {digest}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
