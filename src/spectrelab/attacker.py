@@ -5,7 +5,9 @@ comparisons.
 
 A Session owns one transport.  On the in-process loopback transport the
 per-measurement loop can run vectorized server-side (identical semantics,
-see Victim.batch_*); over UDP every request is a real datagram.
+see Victim.batch_*), and a read of only a mean and variance can be drawn
+exactly from the victim's moments (Session.moments); over UDP every
+request is a real datagram.
 """
 
 from __future__ import annotations
@@ -182,12 +184,13 @@ class Session:
             n, lambda v: v.batch_leak_avx(bit_index, n, m, plan.avx_wait_ns, index))
 
     def collect_corner(self, channel: str, corner: str, n: int,
-                       plan: Optional[ExtractionPlan] = None) -> np.ndarray:
+                       plan: Optional[ExtractionPlan] = None,
+                       space_bits: Optional[int] = None) -> np.ndarray:
         plan = plan or ExtractionPlan()
-        schedule = wire.corner_schedule(channel, corner, self._aslr_space_bits(),
-                                        plan.reset_bytes, plan.avx_wait_ns)
-        return self._collect(schedule, n, lambda v: v.batch_corner(
-            channel, corner, n, plan.reset_bytes, plan.avx_wait_ns))
+        return self._collect(
+            self.corner_schedule(channel, corner, plan, space_bits), n,
+            lambda v: v.batch_corner(channel, corner, n, plan.reset_bytes,
+                                     plan.avx_wait_ns, space_bits))
 
     def collect_value(self, guess: int, n: int,
                       plan: Optional[ExtractionPlan] = None) -> np.ndarray:
@@ -202,10 +205,49 @@ class Session:
         return self._collect(wire.aslr_schedule(lo, hi, mistrain), n,
                              lambda v: v.batch_aslr_check(lo, hi, n, mistrain))
 
-    def _aslr_space_bits(self) -> int:
-        if isinstance(self.transport, LoopbackTransport):
-            return self.transport.victim.config.aslr_space_bits
-        return 32   # full probe width; callers pass explicit ranges over UDP
+    def corner_schedule(self, channel: str, corner: str, plan: ExtractionPlan,
+                        space_bits: Optional[int] = None) -> list:
+        """``wire.corner_schedule`` for ``plan``; only a loopback victim can
+        supply the layout corners' ``space_bits`` when it is not given."""
+        if space_bits is None and channel == "aslr":
+            if not isinstance(self.transport, LoopbackTransport):
+                raise ValueError("a remote layout corner needs space_bits")
+            space_bits = self.transport.victim.config.aslr_space_bits
+        return wire.corner_schedule(channel, corner, space_bits,
+                                    plan.reset_bytes, plan.avx_wait_ns)
+
+    def moments(self, schedule: list, n: int,
+                collect: Callable[[int], np.ndarray]) -> tuple[float, float]:
+        """Mean and ddof-1 variance of the timed round trips of n iterations
+        of ``schedule``.  Batched, with Gaussian noise, no mitigation noise
+        and under 1e-12 chance of a clamp at 0 in the read, they are drawn
+        exactly from the victim's moments (``rtt_moments``); otherwise
+        ``collect(k)`` samples the loop, _MOMENTS_CHUNK iterations at most."""
+        if n < 1:
+            raise ValueError("a read needs at least one measurement")
+        t = self.transport
+        if (self.batched and t.latency.distribution == "gaussian"
+                and t.victim.config.mitigation_noise_sigma_ns == 0
+                and n * t.latency.clamp_probability() < 1e-12):
+            mean, ss = t.victim.run_moments(schedule, n)
+            self.counters.update(wire.schedule_counts(schedule, n))
+            ct = t.victim.config.cycle_time_ns
+            return t.latency.rtt_moments(n, mean * ct, ss * ct * ct, t.rng)
+        done, shift, total, total_sq = 0, None, 0.0, 0.0
+        while done < n:
+            chunk = collect(min(_MOMENTS_CHUNK, n - done))
+            if shift is None:
+                shift = float(chunk[0])   # first sample, for numerical stability
+            chunk -= shift
+            total += float(chunk.sum())
+            total_sq += float(np.dot(chunk, chunk))
+            done += chunk.size
+        mean = total / n
+        var = max(0.0, (total_sq - n * mean * mean) / (n - 1)) if n > 1 else 0.0
+        return shift + mean, var
+
+
+_MOMENTS_CHUNK = 10_000_000   # bounds a sampled read's peak memory
 
 
 def loopback_session(cfg: VictimConfig, seed: int) -> Session:
@@ -222,41 +264,25 @@ def loopback_session(cfg: VictimConfig, seed: int) -> Session:
 # Calibration and decision
 # ---------------------------------------------------------------------------
 
-_CALIBRATION_CHUNK = 10_000_000   # bounds peak memory for very large n
-
-
-def _corner_moments(session: Session, channel: str, corner: str, n: int,
-                    plan: ExtractionPlan) -> tuple[float, float]:
-    """Streaming mean and ddof-1 variance of a corner-case distribution."""
-    done = 0
-    shift = None                  # first sample, for numerical stability
-    total = 0.0
-    total_sq = 0.0
-    while done < n:
-        chunk = session.collect_corner(channel, corner,
-                                       min(_CALIBRATION_CHUNK, n - done), plan)
-        if shift is None:
-            shift = float(chunk[0])
-        chunk -= shift
-        total += float(chunk.sum())
-        total_sq += float(np.dot(chunk, chunk))
-        done += chunk.size
-    mean = total / n
-    var = max(0.0, (total_sq - n * mean * mean) / (n - 1)) if n > 1 else 0.0
-    return shift + mean, var
-
-
 def calibrate(session: Session, plan: ExtractionPlan,
-              n: Optional[int] = None, channel: Optional[str] = None) -> Calibration:
-    """Measure the two known corner cases and derive the decision threshold.
+              n: Optional[int] = None, channel: Optional[str] = None,
+              space_bits: Optional[int] = None) -> Calibration:
+    """Measure the two known corner cases and derive the decision threshold
+    (``space_bits``: the layout corners' probe space; remote targets need it).
 
     Fails when the corner means are statistically indistinguishable at the
     chosen sample count; the fix is to raise n.
     """
     channel = channel or plan.channel
     n = n if n is not None else plan.measurements_per_bit
-    mean_hit, var_hit = _corner_moments(session, channel, "hit", n, plan)
-    mean_miss, var_miss = _corner_moments(session, channel, "miss", n, plan)
+
+    def corner(name: str) -> tuple[float, float]:
+        return session.moments(
+            session.corner_schedule(channel, name, plan, space_bits), n,
+            lambda k: session.collect_corner(channel, name, k, plan, space_bits))
+
+    mean_hit, var_hit = corner("hit")
+    mean_miss, var_miss = corner("miss")
     sigma = math.sqrt(0.5 * (var_hit + var_miss))
     if abs(mean_miss - mean_hit) < 4.0 * sigma / math.sqrt(n):
         raise CalibrationError(
@@ -415,17 +441,21 @@ def break_aslr(session: Session, aslr_space_bits: int, probes_per_check: int,
     """
     if calib is None:
         plan = ExtractionPlan(measurements_per_bit=probes_per_check)
-        calib = calibrate(session, plan, n=probes_per_check, channel="aslr")
+        calib = calibrate(session, plan, n=probes_per_check, channel="aslr",
+                          space_bits=aslr_space_bits)
+
+    def mean(lo: int, hi: int) -> float:
+        return session.moments(
+            wire.aslr_schedule(lo, hi, mistrain), probes_per_check,
+            lambda k: session.collect_aslr(lo, hi, k, mistrain))[0]
+
     requests_before = session.total_requests()
     lo, hi = 0, 1 << aslr_space_bits
     rounds: list[AslrRound] = []
     while hi - lo > 1:
         mid = (lo + hi) // 2
         for attempt in range(1, ASLR_ROUND_RETRIES + 1):
-            left = session.collect_aslr(lo, mid, probes_per_check, mistrain)
-            right = session.collect_aslr(mid, hi, probes_per_check, mistrain)
-            mean_left = float(left.mean())
-            mean_right = float(right.mean())
+            mean_left, mean_right = mean(lo, mid), mean(mid, hi)
             hit_left = mean_left < calib.threshold_ns
             hit_right = mean_right < calib.threshold_ns
             if hit_left != hit_right:
@@ -483,10 +513,12 @@ def _compare_sequentially(session: Session, guess: int, n: int,
     # comparison count when the mean sits on the threshold
     llr_var = 4.0 * half_gap_ns * half_gap_ns * n / var if var > 0 else math.inf
     cap = max(1, math.ceil(_ROUND_PATIENCE * bound * bound / llr_var))
+    schedule = wire.value_schedule(guess, plan.mistrain_count, plan.reset_bytes)
     shortfall = 0.0          # sum of threshold - rtt
     for comparisons in range(1, cap + 1):
-        rtts = session.collect_value(guess, n, plan)
-        shortfall += float(np.sum(calib.threshold_ns - rtts))
+        mean, _ = session.moments(schedule, n,
+                                  lambda k: session.collect_value(guess, k, plan))
+        shortfall += n * (calib.threshold_ns - mean)
         if var == 0:
             above = shortfall > 0
             break

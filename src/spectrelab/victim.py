@@ -199,14 +199,15 @@ class Victim:
     # -- batched execution (loopback fast path) --------------------------
     #
     # Each batch runs n iterations of one wire schedule and returns the
-    # server cycles of each iteration's timed request.  _run_batch steps
-    # the iterations through _dispatch, the same gadget code a request
-    # runs, until the state settles: until one iteration returns every
-    # state the next one reads to where it started, whichever way its
-    # download's eviction draw falls.  From there on an iteration differs
-    # from the next only in that draw, so the rest of the batch is one
-    # vectorized uniform per iteration choosing between the two timed
-    # cycle values found.  The predictor counter settles within three
+    # server cycles of each iteration's timed request (run_moments: only
+    # their moments).  _settle steps the iterations through _dispatch, the
+    # same gadget code a request runs, until the state settles: until one
+    # iteration returns every state the next one reads to where it
+    # started, whichever way its download's eviction draw falls.  From
+    # there on an iteration differs from the next only in that draw, so
+    # the rest of the batch is one vectorized uniform per iteration
+    # choosing between the two timed cycle values found (run_moments only
+    # counts the evictions).  The predictor counter settles within three
     # iterations (one iteration maps it by a monotone function), the cache
     # flags at the first, a cached layout offset at the first eviction.
     #
@@ -219,28 +220,54 @@ class Victim:
 
     def _run_batch(self, schedule: list, n: int) -> np.ndarray:
         cfg = self.config
-        if cfg.clock_mode != "virtual":
-            raise ConfigError("batched execution needs the virtual clock")
-        if n <= 0:
-            raise ValueError("batch size must be positive")
+        head, trials = self._settle(schedule, n)
         cycles = np.empty(n)
-        for i in range(n):
-            start = self._snapshot()
-            trials = []              # (timed cycles, end state) per forced draw
-            for forced in (_EVICT, _KEEP):
-                trials.append((self._iterate(schedule, forced), self._snapshot()))
-                self._restore(start)
-            if all(_returns(start, end) for _, end in trials):
-                self._fast_forward(schedule, cycles[i:], trials)
-                break
-            cycles[i] = self._iterate(schedule, self.rng)
-        self.counters.update(wire.schedule_counts(schedule, n))
+        cycles[:len(head)] = head
+        if trials:
+            self._fast_forward(schedule, n - len(head), trials,
+                               cycles[len(head):])
         if cfg.mitigation_noise_sigma_ns > 0:
             for view in wire.chunks(cycles):
                 view += self.rng.normal(0.0, cfg.mitigation_noise_sigma_ns,
                                         size=view.shape[0]) / cfg.cycle_time_ns
                 np.maximum(0.0, view, out=view)
         return cycles
+
+    def run_moments(self, schedule: list, n: int) -> tuple[float, float]:
+        """``_run_batch`` without mitigation noise, reduced to the mean of
+        the n timed cycles and the sum of their squared deviations: the
+        same state, counters and draws, never the n-long array."""
+        head, trials = self._settle(schedule, n)
+        groups = [(c, 1) for c in head]        # (timed cycles, iterations)
+        if trials:
+            k = n - len(head)
+            e = self._fast_forward(schedule, k, trials)
+            groups += [(trials[0][0], e), (trials[1][0], k - e)]
+        # summed about a timed value, so a constant batch reads exactly
+        c0 = next(c for c, m in groups if m)
+        total = sum((c - c0) * m for c, m in groups)
+        total_sq = sum((c - c0) ** 2 * m for c, m in groups)
+        return c0 + total / n, max(0.0, total_sq - total * total / n)
+
+    def _settle(self, schedule: list, n: int) -> tuple[list, Optional[list]]:
+        """Count n iterations and step them until the state settles; returns
+        their timed cycles and the two forced trials (None if unsettled)."""
+        if self.config.clock_mode != "virtual":
+            raise ConfigError("batched execution needs the virtual clock")
+        if n <= 0:
+            raise ValueError("batch size must be positive")
+        self.counters.update(wire.schedule_counts(schedule, n))
+        head: list[float] = []
+        while len(head) < n:
+            start = self._snapshot()
+            trials = []              # (timed cycles, end state) per forced draw
+            for forced in (_EVICT, _KEEP):
+                trials.append((self._iterate(schedule, forced), self._snapshot()))
+                self._restore(start)
+            if all(_returns(start, end) for _, end in trials):
+                return head, trials
+            head.append(self._iterate(schedule, self.rng))
+        return head, None
 
     def _iterate(self, schedule: list, rng) -> float:
         """One iteration through the gadgets; returns the timed cycles."""
@@ -249,31 +276,38 @@ class Victim:
             cycles = self._dispatch(op, arg, rng)[2]
         return cycles
 
-    def _fast_forward(self, schedule: list, out: np.ndarray,
-                      trials: list) -> None:
-        """The remaining iterations of a settled batch: fill ``out`` from
-        one eviction draw each, and move the clock (and the SIMD unit's
-        last use, when an iteration touches it) past them."""
+    def _fast_forward(self, schedule: list, k: int, trials: list,
+                      out: Optional[np.ndarray] = None) -> int:
+        """The remaining k iterations of a settled batch: one eviction draw
+        each, writing the timed cycles to ``out`` or, without it, returning
+        the evictions.  Moves the clock (and the SIMD unit's last use, when
+        an iteration touches it) past them."""
         cfg, st = self.config, self.state
         (evict, end), (keep, _) = trials
         downloads = [arg for op, arg in schedule if op == wire.OP_DOWNLOAD]
+        evictions = 0
         if downloads:
             p_evict = uarch.thrash_probability(downloads[0], cfg.thrash_lambda)
-            for view in wire.chunks(out):
-                self.rng.random(out=view)
+            buf = np.empty(min(k, wire.CHUNK)) if out is None else out
+            for i in range(0, k, wire.CHUNK):
+                view = self.rng.random(out=buf[:k - i] if out is None
+                                       else buf[i:i + wire.CHUNK])
+                if out is None:
+                    evictions += int(np.count_nonzero(view < p_evict))
+                    continue
                 np.less(view, p_evict, out=view)        # 1.0 where evicted
                 view *= evict - keep
                 view += keep
-        else:
+        elif out is not None:
             out.fill(keep)
         used = end[-1] != st.avx.last_use_ns    # an iteration runs a 256-bit op
         age = st.clock.now - st.avx.last_use_ns if used else None
-        k = out.shape[0]
         st.clock.advance(k * sum(arg for op, arg in schedule
                                  if op == wire.OP_ADVANCE_CLOCK))
         st.clock.advance(len(schedule) * k * cfg.per_request_ns)
         if used:
             st.avx.last_use_ns = st.clock.now - age
+        return evictions
 
     def _snapshot(self) -> tuple:
         st = self.state
@@ -317,11 +351,14 @@ class Victim:
 
     def batch_corner(self, channel: str, corner: str, n: int,
                      reset_bytes: int = uarch.THRASH_REFERENCE_BYTES,
-                     wait_ns: float = 1_000_000.0) -> np.ndarray:
+                     wait_ns: float = 1_000_000.0,
+                     space_bits: Optional[int] = None) -> np.ndarray:
         """n iterations of wire.corner_schedule: force a known state, then
-        measure.  Returns the measured server cycles."""
+        measure.  Returns the measured server cycles.  The layout corners
+        probe ``space_bits`` bits, the config's by default."""
         return self._run_batch(wire.corner_schedule(
-            channel, corner, self.config.aslr_space_bits, reset_bytes, wait_ns), n)
+            channel, corner, self.config.aslr_space_bits if space_bits is None
+            else space_bits, reset_bytes, wait_ns), n)
 
     # -- serving ---------------------------------------------------------
 

@@ -69,11 +69,12 @@ def leak_schedule(channel: str, bit_index: int, mistrain: int,
                   mistrain_index: int, reset_arg: float) -> list:
     """Mistrain x m, reset the channel, leak, transmit.  The cache channel
     resets by a download of ``reset_arg`` bytes, the avx channel by
-    ``reset_arg`` ns of idle time."""
+    ``reset_arg`` ns of idle time, truncated to whole ns."""
     if channel == "cache":
         leak, reset, transmit = OP_LEAK_CACHE, OP_DOWNLOAD, OP_TRANSMIT_CACHE
     else:
         leak, reset, transmit = OP_LEAK_AVX, OP_ADVANCE_CLOCK, OP_TRANSMIT_AVX
+        reset_arg = int(reset_arg)         # the wire carries whole ns
     return ([(leak, mistrain_index)] * mistrain
             + [(reset, reset_arg), (leak, bit_index), (transmit, 0)])
 
@@ -97,7 +98,7 @@ def corner_schedule(channel: str, corner: str, space_bits: int,
 
     cache/value hit: transmit twice, measure the second.
     cache/value miss: download, then measure the transmit.
-    avx hit/miss: transmit pair, or wait then transmit.
+    avx hit/miss: transmit pair, or wait (whole ns) then transmit.
     aslr hit/miss: train twice, probe the full space (or the slot past
     it), then time.
     """
@@ -106,7 +107,7 @@ def corner_schedule(channel: str, corner: str, space_bits: int,
         first = (OP_TRANSMIT_CACHE, 0) if hit else (OP_DOWNLOAD, reset_bytes)
         return [first, (OP_TRANSMIT_CACHE, 0)]
     if channel == "avx":
-        first = (OP_TRANSMIT_AVX, 0) if hit else (OP_ADVANCE_CLOCK, wait_ns)
+        first = (OP_TRANSMIT_AVX, 0) if hit else (OP_ADVANCE_CLOCK, int(wait_ns))
         return [first, (OP_TRANSMIT_AVX, 0)]
     if channel == "aslr":
         space = 1 << space_bits
@@ -252,6 +253,27 @@ class LatencyModel:
         scale = self.sigma_ns / raw_var ** 0.5
         mean = math.exp(s * s / 2.0)
         return scale * (rng.lognormal(0.0, s, size=size) - mean)
+
+    def clamp_probability(self) -> float:
+        """A bound on the chance that ``rtt`` clamps a round trip at 0."""
+        return (0.5 * math.erfc(math.sqrt(2.0) * self.base_ns / self.sigma_ns)
+                if self.sigma_ns else float(self.base_ns < 0))
+
+    def rtt_moments(self, n: int, mean_ns: float, ss_ns: float,
+                    rng: np.random.Generator) -> tuple[float, float]:
+        """Mean and ddof-1 variance of n unclamped Gaussian ``rtt`` draws
+        for server times of mean ``mean_ns`` and sum of squared deviations
+        ``ss_ns``, drawn exactly from three statistics (Cochran 1934):
+        mean = mean_ns + 2 base + sigma Z / sqrt(n) and (n - 1) var =
+        (sqrt(ss_ns) + sigma W)^2 + sigma^2 X, Z, W ~ N(0, 1), X ~ chi2(n-2)."""
+        s, mean = self.sigma_ns, mean_ns + 2.0 * self.base_ns
+        if n == 1 or s == 0.0:
+            return (mean + s * rng.standard_normal() if s else mean,
+                    ss_ns / (n - 1) if n > 1 else 0.0)
+        z, w = rng.standard_normal(2)
+        x = rng.chisquare(n - 2) if n > 2 else 0.0
+        return (mean + s / math.sqrt(n) * z,
+                ((math.sqrt(ss_ns) + s * w) ** 2 + s * s * x) / (n - 1))
 
     def rtt(self, server_ns, rng: np.random.Generator, size=None):
         """Round-trip time for a request the victim spent ``server_ns`` on.

@@ -364,3 +364,60 @@ class TestSessionPlumbing:
         assert attacker.proportion_z(np.array([3.0, 3.0]), 2.0) == -math.inf
         z = attacker.proportion_z(np.array([1.0, 3.0, 1.0, 3.0]), 2.0)
         assert z == 0.0
+
+
+class TestAvxWaitOnTheWire:
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_fractional_wait_leaves_the_same_clock(self, batched):
+        # the wire carries whole ns, so both paths wait 750000 ns
+        session, victim = make_session(batched=batched)
+        plan = ExtractionPlan(channel="avx", avx_wait_ns=750_000.7)
+        reference, ref_victim = make_session(batched=not batched)
+        for s in (session, reference):
+            s.collect_bit(plan, 0, 5)
+            s.collect_corner("avx", "miss", 5, plan)
+        assert victim.state.clock.now == ref_victim.state.clock.now
+        assert victim.state.avx.last_use_ns == ref_victim.state.avx.last_use_ns
+        # ten waits, and 5 x 13 leak plus 5 x 2 corner requests of 1000 ns
+        assert victim.state.clock.now == 10 * 750_000 + (5 * 13 + 5 * 2) * 1000
+
+
+class _CodecTransport:
+    """A remote target's view: every request and response is encoded and
+    decoded as on the wire; round trips are noiseless."""
+
+    def __init__(self, victim):
+        self.victim = victim
+
+    def request(self, packet):
+        response, cycles = self.victim.handle_request(
+            wire.decode_request(packet.encode()))
+        rtt = 2 * 10_000.0 + cycles * self.victim.config.cycle_time_ns
+        return wire.decode_response(response.encode()), rtt
+
+
+class TestRemoteLayout:
+    def _session(self):
+        victim = Victim(VictimConfig(valid_aslr_offset=777,
+                                     aslr_space_bits=12), seed=0)
+        return Session(_CodecTransport(victim)), victim
+
+    def test_calibration_takes_the_space_size(self):
+        session, _ = self._session()
+        calib = calibrate(session, ExtractionPlan(), n=5, channel="aslr",
+                          space_bits=12)
+        assert calib.mean_hit_ns == 2 * 10_000 + 1040 * 0.5
+        assert calib.mean_miss_ns == 2 * 10_000 + 1200 * 0.5
+
+    def test_break_aslr_calibrates_over_its_space(self):
+        session, _ = self._session()
+        result = break_aslr(session, 12, probes_per_check=5)
+        assert result.offset == 777
+
+    def test_layout_corner_without_space_size_sends_nothing(self):
+        session, victim = self._session()
+        with pytest.raises(ValueError):
+            calibrate(session, ExtractionPlan(), n=5, channel="aslr")
+        with pytest.raises(ValueError):
+            session.collect_corner("aslr", "hit", 5)
+        assert victim.total_requests() == 0 == session.total_requests()

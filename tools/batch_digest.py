@@ -16,6 +16,17 @@ The grid: four latency models (Gaussian, lognormal, Gaussian with the
 clamp at 0 active, noiseless) x mitigation noise 0 / 300 ns x barrier off
 / on x a warm / cold training index x n in {1, 2, 65537} batched, or
 n in {1, 2, 7} per request.  The whole grid takes a few seconds.
+
+Then, for each batched configuration that ``Session.moments`` draws
+exactly (Gaussian or noiseless, no mitigation noise), two ``victim`` lines
+hash only the victim side (both request counters, the clock, the
+predictor, cache and SIMD state, and the victim generator's next draw)
+after the same corner, value and layout reads: one read as samples, one
+as moments.  The moments read leaves the victim as the sample read does
+when the two sets of lines agree:
+
+    diff <(grep '^victim samples' new.txt | cut -d' ' -f3-) \
+         <(grep '^victim moments' new.txt | cut -d' ' -f3-)
 """
 
 from __future__ import annotations
@@ -25,6 +36,7 @@ import itertools
 
 import numpy as np
 
+from spectrelab import wire
 from spectrelab.attacker import ExtractionPlan, Session
 from spectrelab.uarch import SecretStore
 from spectrelab.victim import Victim, VictimConfig
@@ -43,16 +55,30 @@ TRAINING_INDEX = {"warm": 0, "cold": 8}
 SIZES = {"batched": (1, 2, 65537), "per-request": (1, 2, 7)}
 
 
-def run(latency, noise_ns, barrier, index, batched, n, seed=11) -> str:
+def _session(latency, noise_ns, barrier, batched, seed=11) -> Session:
     cfg = VictimConfig(secrets=SECRETS, valid_aslr_offset=777,
                        aslr_space_bits=12, value_secret=4242,
                        mitigation_barrier=barrier,
                        mitigation_noise_sigma_ns=noise_ns, latency=latency)
     victim_seed, transport_seed = np.random.SeedSequence(seed).spawn(2)
     victim = Victim(cfg, rng=np.random.default_rng(victim_seed))
-    session = Session(LoopbackTransport(victim, latency,
-                                        np.random.default_rng(transport_seed)),
-                      batched=batched)
+    return Session(LoopbackTransport(victim, latency,
+                                     np.random.default_rng(transport_seed)),
+                   batched=batched)
+
+
+def _victim_side(session) -> tuple:
+    victim = session.transport.victim
+    st = victim.state
+    return (sorted(session.counters.items()), sorted(victim.counters.items()),
+            st.clock.now, sorted(st.predictor.counters.items()),
+            st.cache.flag_cached, st.cache.flag_value,
+            st.cache.aslr_cached_offset, st.avx.last_use_ns)
+
+
+def run(latency, noise_ns, barrier, index, batched, n) -> str:
+    session = _session(latency, noise_ns, barrier, batched)
+    victim = session.transport.victim
     cache = ExtractionPlan(channel="cache", mistrain_index=index)
     avx = ExtractionPlan(channel="avx", mistrain_index=index)
     h = hashlib.sha256()
@@ -67,14 +93,33 @@ def run(latency, noise_ns, barrier, index, batched, n, seed=11) -> str:
         h.update(session.collect_value(guess, n, cache).tobytes())
     for lo, hi in ((0, 2048), (512, 1024), (777, 778)):
         h.update(session.collect_aslr(lo, hi, n).tobytes())
-    st = victim.state
-    h.update(repr((sorted(session.counters.items()),
-                   sorted(victim.counters.items()), st.clock.now,
-                   sorted(st.predictor.counters.items()), st.cache.flag_cached,
-                   st.cache.flag_value, st.cache.aslr_cached_offset,
-                   st.avx.last_use_ns, victim.rng.random(),
-                   session.transport.rng.random())).encode())
+    h.update(repr(_victim_side(session) + (
+        victim.rng.random(), session.transport.rng.random())).encode())
     return h.hexdigest()[:16]
+
+
+def run_victim(latency, barrier, index, n, moments) -> str:
+    """The victim side after the reads ``Session.moments`` serves, read as
+    moments or as samples."""
+    session = _session(latency, 0.0, barrier, True)
+    plan = ExtractionPlan(channel="cache", mistrain_index=index)
+    reads = [(session.corner_schedule(channel, corner, plan),
+              lambda k, c=channel, r=corner: session.collect_corner(c, r, k, plan))
+             for channel in ("cache", "value", "avx", "aslr")
+             for corner in ("hit", "miss")]
+    reads += [(wire.value_schedule(guess, plan.mistrain_count, plan.reset_bytes),
+               lambda k, g=guess: session.collect_value(g, k, plan))
+              for guess in (0, 4241, 4242, 9000)]
+    reads += [(wire.aslr_schedule(lo, hi, 10),
+               lambda k, lo=lo, hi=hi: session.collect_aslr(lo, hi, k))
+              for lo, hi in ((0, 2048), (512, 1024), (777, 778))]
+    for schedule, collect in reads:
+        if moments:
+            session.moments(schedule, n, collect)
+        else:
+            collect(n)
+    fields = _victim_side(session) + (session.transport.victim.rng.random(),)
+    return hashlib.sha256(repr(fields).encode()).hexdigest()[:16]
 
 
 def main() -> None:
@@ -85,6 +130,14 @@ def main() -> None:
             digest = run(latency, noise_ns, barrier, TRAINING_INDEX[warmth],
                          path == "batched", n)
             print(f"{path} {name} noise={noise_ns:g} barrier={int(barrier)} "
+                  f"index={warmth} n={n} {digest}", flush=True)
+    for path, name, barrier, warmth in itertools.product(
+            ("samples", "moments"), ("gaussian", "noiseless"), (False, True),
+            TRAINING_INDEX):
+        for n in SIZES["batched"]:
+            digest = run_victim(LATENCIES[name], barrier,
+                                TRAINING_INDEX[warmth], n, path == "moments")
+            print(f"victim {path} {name} barrier={int(barrier)} "
                   f"index={warmth} n={n} {digest}", flush=True)
 
 
