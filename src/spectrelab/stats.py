@@ -154,15 +154,13 @@ def error_rate(recovered, truth) -> float:
 # CSV interchange
 # ---------------------------------------------------------------------------
 
-def write_samples_csv(path, rtts_ns, phase: str = "unknown",
-                      start_sequence: int = 0, mode: str = "w") -> None:
+def write_samples_csv(path, rtts_ns, phase: str = "unknown") -> None:
     """Sample dump: header ``sequence,rtt_ns,phase``."""
-    with open(path, mode, newline="") as fh:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if mode == "w":
-            writer.writerow(["sequence", "rtt_ns", "phase"])
+        writer.writerow(["sequence", "rtt_ns", "phase"])
         for i, rtt in enumerate(np.asarray(rtts_ns, dtype=float)):
-            writer.writerow([start_sequence + i, f"{rtt:.3f}", phase])
+            writer.writerow([i, f"{rtt:.3f}", phase])
 
 
 def read_samples_csv(path) -> tuple[np.ndarray, list[str]]:

@@ -2,8 +2,10 @@
 attacker can influence: a per-site branch predictor, the cache state of a
 single transmit variable, and the power state of the 256-bit SIMD unit.
 
-All gadget costs are reported in CPU cycles.  Conversion to nanoseconds
-happens exactly once, at the wire boundary (see :mod:`spectrelab.victim`).
+All gadget costs are reported in CPU cycles.  They become nanoseconds
+where round-trip times are made: per request in ``LoopbackTransport``
+(or in a wall-clock victim's reply delay), per batch or moments read in
+``Session``.
 """
 
 from __future__ import annotations
@@ -174,7 +176,6 @@ class MicroarchState:
     predictor: BranchPredictor = field(default_factory=BranchPredictor)
     cache: CacheModel = field(default_factory=CacheModel)
     avx: AvxUnit = field(default_factory=AvxUnit)
-    cycle_time_ns: float = DEFAULT_CYCLE_TIME_NS
 
     # -- gadgets ---------------------------------------------------------
 

@@ -77,6 +77,9 @@ class VictimConfig:
     def validate(self) -> None:
         if self.clock_mode not in ("virtual", "wall"):
             raise ConfigError(f"bad clock_mode {self.clock_mode!r}")
+        if not 0 <= self.aslr_space_bits <= wire.MAX_SPACE_BITS:
+            raise ConfigError(
+                f"aslr_space_bits outside [0, {wire.MAX_SPACE_BITS}]")
         if not 0 <= self.valid_aslr_offset < (1 << self.aslr_space_bits):
             raise ConfigError("valid_aslr_offset outside the probe space")
         if self.mitigation_noise_sigma_ns < 0:
@@ -96,7 +99,6 @@ class VictimConfig:
                               max_penalty_cycles=self.max_penalty_cycles,
                               decay_start_ns=self.decay_start_ns,
                               decay_end_ns=self.decay_end_ns),
-            cycle_time_ns=self.cycle_time_ns,
         )
 
 
@@ -351,14 +353,11 @@ class Victim:
 
     def batch_corner(self, channel: str, corner: str, n: int,
                      reset_bytes: int = uarch.THRASH_REFERENCE_BYTES,
-                     wait_ns: float = 1_000_000.0,
-                     space_bits: Optional[int] = None) -> np.ndarray:
+                     wait_ns: float = 1_000_000.0) -> np.ndarray:
         """n iterations of wire.corner_schedule: force a known state, then
-        measure.  Returns the measured server cycles.  The layout corners
-        probe ``space_bits`` bits, the config's by default."""
-        return self._run_batch(wire.corner_schedule(
-            channel, corner, self.config.aslr_space_bits if space_bits is None
-            else space_bits, reset_bytes, wait_ns), n)
+        measure.  Returns the measured server cycles."""
+        return self._run_batch(
+            wire.corner_schedule(channel, corner, reset_bytes, wait_ns), n)
 
     # -- serving ---------------------------------------------------------
 

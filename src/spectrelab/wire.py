@@ -92,15 +92,19 @@ def aslr_schedule(lo: int, hi: int, mistrain: int) -> list:
             + [(OP_ASLR_PROBE, (lo << 32) | hi), (OP_TIMING_FN, 0)])
 
 
-def corner_schedule(channel: str, corner: str, space_bits: int,
-                    reset_bytes: int, wait_ns: float) -> list:
+MAX_SPACE_BITS = 31   # largest layout space the probe's 32-bit fields carry
+
+
+def corner_schedule(channel: str, corner: str, reset_bytes: int,
+                    wait_ns: float) -> list:
     """Calibration corners: force a known state, then measure.
 
     cache/value hit: transmit twice, measure the second.
     cache/value miss: download, then measure the transmit.
     avx hit/miss: transmit pair, or wait (whole ns) then transmit.
-    aslr hit/miss: train twice, probe the full space (or the slot past
-    it), then time.
+    aslr hit/miss: train twice, probe [0, 2^32 - 1) (or [2^32 - 2,
+    2^32 - 1)), then time; any offset below 2^MAX_SPACE_BITS lies in the
+    first range only.
     """
     hit = corner == "hit"
     if channel in ("cache", "value"):
@@ -110,8 +114,8 @@ def corner_schedule(channel: str, corner: str, space_bits: int,
         first = (OP_TRANSMIT_AVX, 0) if hit else (OP_ADVANCE_CLOCK, int(wait_ns))
         return [first, (OP_TRANSMIT_AVX, 0)]
     if channel == "aslr":
-        space = 1 << space_bits
-        return aslr_schedule(0, space, 2) if hit else aslr_schedule(space, space + 1, 2)
+        top = (1 << 32) - 1
+        return aslr_schedule(0 if hit else top - 1, top, 2)
     raise ValueError(f"unknown channel {channel!r}")
 
 
@@ -232,6 +236,8 @@ class LatencyModel:
     @classmethod
     def preset(cls, name: str, base_ns: float = 10_000.0,
                distribution: str = "gaussian") -> "LatencyModel":
+        if name == "noiseless":
+            return cls.noiseless(base_ns)
         try:
             sigma = PRESET_SIGMAS_NS[name]
         except KeyError:

@@ -402,10 +402,9 @@ class TestRemoteLayout:
                                      aslr_space_bits=12), seed=0)
         return Session(_CodecTransport(victim)), victim
 
-    def test_calibration_takes_the_space_size(self):
+    def test_calibration_needs_no_space_size(self):
         session, _ = self._session()
-        calib = calibrate(session, ExtractionPlan(), n=5, channel="aslr",
-                          space_bits=12)
+        calib = calibrate(session, ExtractionPlan(), n=5, channel="aslr")
         assert calib.mean_hit_ns == 2 * 10_000 + 1040 * 0.5
         assert calib.mean_miss_ns == 2 * 10_000 + 1200 * 0.5
 
@@ -414,10 +413,31 @@ class TestRemoteLayout:
         result = break_aslr(session, 12, probes_per_check=5)
         assert result.offset == 777
 
-    def test_layout_corner_without_space_size_sends_nothing(self):
+    @pytest.mark.parametrize("bits", [-1, 32])
+    def test_space_past_the_wire_sends_nothing(self, bits):
         session, victim = self._session()
         with pytest.raises(ValueError):
-            calibrate(session, ExtractionPlan(), n=5, channel="aslr")
-        with pytest.raises(ValueError):
-            session.collect_corner("aslr", "hit", 5)
+            break_aslr(session, bits, probes_per_check=5)
         assert victim.total_requests() == 0 == session.total_requests()
+
+    @pytest.mark.parametrize("remote", [True, False])
+    @pytest.mark.parametrize("bits", [1, 12, 31])
+    def test_corners_cover_every_space(self, bits, remote):
+        # the offset sits at the top of the space, next to the miss range
+        cfg = VictimConfig(valid_aslr_offset=(1 << bits) - 1,
+                           aslr_space_bits=bits)
+        if remote:
+            session = Session(_CodecTransport(Victim(cfg, seed=0)))
+        else:
+            session = attacker.loopback_session(cfg, seed=0)
+        calib = calibrate(session, ExtractionPlan(), n=5, channel="aslr")
+        assert calib.mean_hit_ns == 2 * 10_000 + 1040 * 0.5
+        assert calib.mean_miss_ns == 2 * 10_000 + 1200 * 0.5
+
+    def test_break_recovers_the_top_of_a_31_bit_space(self):
+        victim = Victim(VictimConfig(valid_aslr_offset=(1 << 31) - 1,
+                                     aslr_space_bits=31), seed=0)
+        result = break_aslr(Session(_CodecTransport(victim)), 31,
+                            probes_per_check=3)
+        assert result.offset == (1 << 31) - 1
+        assert len(result.rounds) == 31

@@ -122,6 +122,14 @@ class TestAslrCommand:
                        "--offset", "100", "--out", str(tmp_path / "x"))
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("target", ["loopback", "127.0.0.1:1"])
+    def test_space_past_the_wire_is_config_error(self, tmp_path, target):
+        # refused before any request, so an unreachable target is not tried
+        code = run_cli("aslr", target, "--space-bits", "32",
+                       "--offset", "5", "--preset", "noiseless", "--n", "10",
+                       "--out", str(tmp_path / "x"))
+        assert code == cli.EXIT_CONFIG
+
 
 class TestFiguresCommand:
     @pytest.mark.parametrize("fig", ["fig4", "fig6"])
@@ -166,6 +174,14 @@ class TestFiguresCommand:
             centers = starts + 5.0
             means[label] = np.average(centers, weights=counts)
         assert abs((means["miss"] - means["hit"]) - 366 * 0.5) < 2.0
+
+    def test_fig8_calibrates_and_writes_its_rows(self, tmp_path):
+        out = tmp_path / "fig8"
+        assert run_cli("figures", "fig8", "--seed", "1", "--out", str(out)) == 0
+        with open(out / "fig8.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["measurements_per_bit"]) for r in rows] == [
+            1000, 4000, 16000, 64000]
 
     def test_unknown_figure_rejected(self, tmp_path):
         code = run_cli("figures", "fig99", "--out", str(tmp_path / "x"))

@@ -125,6 +125,15 @@ class TestDispatch:
         with pytest.raises(ConfigError):
             VictimConfig(value_secret=1 << 16).validate()
 
+    def test_layout_space_fits_the_wire(self):
+        # the probe packs [lo, hi) into two 32-bit fields
+        for bits in (-1, 32, 40):
+            with pytest.raises(ConfigError):
+                VictimConfig(aslr_space_bits=bits).validate()
+        VictimConfig(aslr_space_bits=0).validate()
+        VictimConfig(aslr_space_bits=31,
+                     valid_aslr_offset=(1 << 31) - 1).validate()
+
 
 class TestDatagrams:
     def test_empty_datagram_dropped(self):

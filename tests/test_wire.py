@@ -71,6 +71,10 @@ class TestLatencyModel:
         with pytest.raises(ValueError):
             LatencyModel.preset("lan-party")
 
+    def test_noiseless_preset(self):
+        assert (LatencyModel.preset("noiseless", base_ns=5.0)
+                == LatencyModel.noiseless(base_ns=5.0))
+
     def test_noiseless_rtt_is_exact(self):
         model = LatencyModel.noiseless(base_ns=10_000.0)
         rng = np.random.default_rng(0)
