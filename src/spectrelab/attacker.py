@@ -110,20 +110,21 @@ class Session:
     # -- raw requests ----------------------------------------------------
 
     def request(self, opcode: int, arg: int = 0):
-        self._nonce += 1
-        packet = RequestPacket(opcode, arg, self._nonce)
-        last_err = None
-        for _ in range(REQUEST_RETRIES + 1):
+        self._nonce = nonce = self._nonce + 1
+        packet = RequestPacket(opcode, arg, nonce)
+        retries = REQUEST_RETRIES
+        while True:
             try:
                 response, rtt = self.transport.request(packet)
-            except RequestTimeout as err:
-                last_err = err
-                continue
-            self.counters[opcode] += 1
-            if response.nonce != packet.nonce:
-                raise WireError("response nonce mismatch")
-            return response, rtt
-        raise last_err
+                break
+            except RequestTimeout:
+                if not retries:
+                    raise
+                retries -= 1
+        self.counters[opcode] += 1
+        if response.nonce != nonce:
+            raise WireError("response nonce mismatch")
+        return response, rtt
 
     def total_requests(self) -> int:
         return sum(self.counters.values())

@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space-bits", type=int, default=20)
     p.add_argument("--offset", type=int, default=0,
                    help="planted offset (loopback only)")
-    p.add_argument("--n", type=int, default=1000,
+    p.add_argument("--n", type=int, default=1_000_000,
                    help="probes per half-range check")
     p.add_argument("--preset",
                    choices=("local", "cloud", "arm", "noiseless"),

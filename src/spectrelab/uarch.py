@@ -67,7 +67,10 @@ class BranchPredictor:
 
     def train(self, site: int, taken: bool) -> None:
         c = self.counters.get(site, 0)
-        self.counters[site] = min(c + 1, 3) if taken else max(c - 1, 0)
+        if taken:
+            self.counters[site] = c + 1 if c < 3 else 3
+        else:
+            self.counters[site] = c - 1 if c > 0 else 0
 
     def reset(self) -> None:
         self.counters.clear()
@@ -146,15 +149,12 @@ class SecretStore:
         if not 0 <= bitstream_length <= 8 * len(self.bitstream):
             raise ValueError("bitstream_length out of range")
         self.bitstream_length = bitstream_length
+        self.total_bits = 8 * len(self.bitstream)
 
     @classmethod
     def with_secret(cls, public: bytes, secret: bytes) -> "SecretStore":
         """In-bounds ``public`` prefix; ``secret`` is only reachable speculatively."""
         return cls(bytes(public) + bytes(secret), bitstream_length=8 * len(public))
-
-    @property
-    def total_bits(self) -> int:
-        return 8 * len(self.bitstream)
 
     def bit(self, x: int) -> int:
         i = x % self.total_bits

@@ -11,6 +11,7 @@ MicroarchState exclusively.
 
 from __future__ import annotations
 
+import math
 import socket
 import time
 from collections import Counter
@@ -21,9 +22,12 @@ from typing import Optional
 import numpy as np
 
 from . import uarch, wire
-from .uarch import MicroarchState, SecretStore
-from .wire import (LatencyModel, RequestPacket, ResponsePacket, STATUS_BAD_ARG,
-                   STATUS_BAD_OPCODE, STATUS_OK)
+from .uarch import ClockError, MicroarchState, SecretStore
+from .wire import (OP_ADVANCE_CLOCK, OP_ASLR_PROBE, OP_DOWNLOAD, OP_LEAK_AVX,
+                   OP_LEAK_CACHE, OP_RESET, OP_TIMING_FN, OP_TRANSMIT_AVX,
+                   OP_TRANSMIT_CACHE, OP_VALUE_CMP, STATUS_BAD_ARG,
+                   STATUS_BAD_OPCODE, STATUS_OK, LatencyModel, RequestPacket,
+                   ResponsePacket)
 
 DEFAULT_HANDLER_CYCLES = 1000   # fixed per-request work surrounding a gadget
 DEFAULT_PER_REQUEST_NS = 1000.0  # virtual-clock advance per request
@@ -88,6 +92,8 @@ class VictimConfig:
             raise ConfigError("miss_cycles must exceed hit_cycles")
         if self.cycle_time_ns <= 0 or self.thrash_lambda <= 0:
             raise ConfigError("cycle_time and thrash lambda must be positive")
+        if not 0 <= self.per_request_ns < math.inf:
+            raise ConfigError("per_request_ns must be finite and >= 0")
         if not 0 <= self.value_secret < (1 << self.value_bits):
             raise ConfigError("value_secret outside [0, 2^value_bits)")
 
@@ -122,12 +128,11 @@ class Victim:
         """Process one request; returns the response and the server-side
         cycles it consumed (mitigation noise included)."""
         cfg = self.config
-        self._tick()
         self.counters[packet.opcode] += 1
         status, payload, cycles = self._dispatch(packet.opcode, packet.arg,
                                                  self.rng)
         if cfg.mitigation_noise_sigma_ns > 0:
-            extra_ns = self.rng.normal(0.0, cfg.mitigation_noise_sigma_ns)
+            extra_ns = cfg.mitigation_noise_sigma_ns * self.rng.standard_normal()
             cycles = max(0.0, cycles + extra_ns / cfg.cycle_time_ns)
 
         if self._log is not None:
@@ -136,41 +141,49 @@ class Victim:
         return ResponsePacket(status, packet.nonce, payload), cycles
 
     def _dispatch(self, op: int, arg, rng) -> tuple[int, int, float]:
-        """Run one request's gadget; returns (status, payload, cycles).
-        ``rng`` supplies the download's eviction draw."""
+        """Advance the clock by one request and run its gadget; returns
+        (status, payload, cycles).  ``rng`` supplies the download's
+        eviction draw."""
         cfg = self.config
         st = self.state
+        if cfg.clock_mode == "virtual":
+            step = cfg.per_request_ns
+            if step < 0:                    # VirtualClock.advance's guard
+                raise ClockError(f"negative clock advance: {step}")
+            st.clock.now += step
+        else:
+            st.clock.advance_to(time.monotonic_ns() - self._wall_t0)
         status = STATUS_OK
         payload = 0
         cycles = float(cfg.handler_cycles)
-        if op == wire.OP_LEAK_CACHE:
+        if op == OP_LEAK_CACHE:
             st.leak_gadget_cache(cfg.secrets, arg, cfg.mitigation_barrier)
-        elif op == wire.OP_LEAK_AVX:
+        elif op == OP_LEAK_AVX:
             leak_cost = st.leak_gadget_avx(cfg.secrets, arg, cfg.mitigation_barrier)
             # only the architectural (in-bounds) execution shows up in the
             # response time; squashed speculative work does not
             if cfg.secrets.in_bounds(arg):
                 cycles += leak_cost
-        elif op == wire.OP_TRANSMIT_CACHE:
+        elif op == OP_TRANSMIT_CACHE:
             cycles += st.transmit_gadget_cache()
-        elif op == wire.OP_TRANSMIT_AVX:
+        elif op == OP_TRANSMIT_AVX:
             cycles += st.transmit_gadget_avx()
-        elif op == wire.OP_DOWNLOAD:
+        elif op == OP_DOWNLOAD:
             st.thrash(arg, rng, cfg.thrash_lambda)
             payload = arg
-        elif op == wire.OP_ASLR_PROBE:
+        elif op == OP_ASLR_PROBE:
             lo, hi = arg >> 32, arg & 0xFFFFFFFF
             st.aslr_gadget(lo, hi, cfg.valid_aslr_offset, cfg.mitigation_barrier)
-        elif op == wire.OP_TIMING_FN:
+        elif op == OP_TIMING_FN:
             cycles += st.timing_function(cfg.valid_aslr_offset)
-        elif op == wire.OP_VALUE_CMP:
+        elif op == OP_VALUE_CMP:
             st.value_threshold_gadget(arg, cfg.value_secret, cfg.mitigation_barrier)
-        elif op == wire.OP_ADVANCE_CLOCK:
+        elif op == OP_ADVANCE_CLOCK:
             if cfg.clock_mode == "virtual":
                 st.clock.advance(arg)
             else:
                 status = STATUS_BAD_ARG
-        elif op == wire.OP_RESET:
+        elif op == OP_RESET:
             st.reset_microarch()
         else:
             status = STATUS_BAD_OPCODE
@@ -191,12 +204,6 @@ class Victim:
             noise = self.config.latency.noise(self.rng)
             time.sleep(max(0.0, delay_ns + noise) / 1e9)
         return response.encode()
-
-    def _tick(self) -> None:
-        if self.config.clock_mode == "virtual":
-            self.state.clock.advance(self.config.per_request_ns)
-        else:
-            self.state.clock.advance_to(time.monotonic_ns() - self._wall_t0)
 
     # -- batched execution (loopback fast path) --------------------------
     #
@@ -230,8 +237,9 @@ class Victim:
                                cycles[len(head):])
         if cfg.mitigation_noise_sigma_ns > 0:
             for view in wire.chunks(cycles):
-                view += self.rng.normal(0.0, cfg.mitigation_noise_sigma_ns,
-                                        size=view.shape[0]) / cfg.cycle_time_ns
+                view += (cfg.mitigation_noise_sigma_ns
+                         * self.rng.standard_normal(view.shape[0])
+                         / cfg.cycle_time_ns)
                 np.maximum(0.0, view, out=view)
         return cycles
 
@@ -274,7 +282,6 @@ class Victim:
     def _iterate(self, schedule: list, rng) -> float:
         """One iteration through the gadgets; returns the timed cycles."""
         for op, arg in schedule:
-            self._tick()
             cycles = self._dispatch(op, arg, rng)[2]
         return cycles
 
@@ -286,7 +293,7 @@ class Victim:
         an iteration touches it) past them."""
         cfg, st = self.config, self.state
         (evict, end), (keep, _) = trials
-        downloads = [arg for op, arg in schedule if op == wire.OP_DOWNLOAD]
+        downloads = [arg for op, arg in schedule if op == OP_DOWNLOAD]
         evictions = 0
         if downloads:
             p_evict = uarch.thrash_probability(downloads[0], cfg.thrash_lambda)
@@ -305,7 +312,7 @@ class Victim:
         used = end[-1] != st.avx.last_use_ns    # an iteration runs a 256-bit op
         age = st.clock.now - st.avx.last_use_ns if used else None
         st.clock.advance(k * sum(arg for op, arg in schedule
-                                 if op == wire.OP_ADVANCE_CLOCK))
+                                 if op == OP_ADVANCE_CLOCK))
         st.clock.advance(len(schedule) * k * cfg.per_request_ns)
         if used:
             st.avx.last_use_ns = st.clock.now - age

@@ -17,6 +17,7 @@ import struct
 import time
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,8 +141,7 @@ class RequestTimeout(WireError):
     """No response within the timeout; safe to retry."""
 
 
-@dataclass(frozen=True)
-class RequestPacket:
+class RequestPacket(NamedTuple):
     opcode: int
     arg: int = 0
     nonce: int = 0
@@ -150,8 +150,7 @@ class RequestPacket:
         return encode_request(self)
 
 
-@dataclass(frozen=True)
-class ResponsePacket:
+class ResponsePacket(NamedTuple):
     status: int
     nonce: int
     payload: int = 0
@@ -253,7 +252,11 @@ class LatencyModel:
         if self.sigma_ns == 0.0:
             return 0.0 if size is None else np.zeros(size)
         if self.distribution == "gaussian":
-            return rng.normal(0.0, self.sigma_ns, size=size)
+            # the values of rng.normal(0, sigma, size), which numpy
+            # computes as 0 + sigma z, at a lower cost per call
+            z = rng.standard_normal(size)
+            z *= self.sigma_ns
+            return z
         s = self._LOGNORMAL_SHAPE
         raw_var = (math.exp(s * s) - 1.0) * math.exp(s * s)
         scale = self.sigma_ns / raw_var ** 0.5
@@ -288,7 +291,8 @@ class LatencyModel:
         it is a float64 array of that length.  The noise is drawn one CHUNK
         at a time, which keeps the draws of one ``noise(rng, size)`` call."""
         if size is None:
-            return max(2.0 * self.base_ns + server_ns + self.noise(rng), 0.0)
+            rtt = 2.0 * self.base_ns + server_ns + self.noise(rng)
+            return 0.0 if rtt < 0.0 else rtt       # max(rtt, 0.0), cheaper
         out = (server_ns if isinstance(server_ns, np.ndarray)
                else np.full(size, float(server_ns)))
         for view in chunks(out):
@@ -314,9 +318,10 @@ class LoopbackTransport:
         self.rng = rng
 
     def request(self, packet: RequestPacket) -> tuple[ResponsePacket, float]:
-        response, server_cycles = self.victim.handle_request(packet)
-        server_ns = server_cycles * self.victim.config.cycle_time_ns
-        return response, self.latency.rtt(server_ns, self.rng)
+        victim = self.victim
+        response, server_cycles = victim.handle_request(packet)
+        return response, self.latency.rtt(
+            server_cycles * victim.config.cycle_time_ns, self.rng)
 
     def close(self) -> None:
         pass

@@ -334,6 +334,56 @@ class TestSessionPlumbing:
         r2, _ = session.request(wire.OP_RESET)
         assert r2.nonce == r1.nonce + 1
 
+    @pytest.mark.parametrize("channel", ["cache", "avx"])
+    def test_per_request_noise_stream(self, channel):
+        # each request, untimed ones included, draws one normal(0, sigma)
+        # from the transport generator, in request order
+        sigma = 20.0
+        session, victim = make_session(seed=5, batched=False, sigma_ns=sigma)
+        _, twin_victim = make_session(seed=5, sigma_ns=sigma)
+        twin_rng = np.random.default_rng(np.random.SeedSequence(5).spawn(2)[1])
+        plan = ExtractionPlan(channel=channel)
+        index = victim.config.secrets.secret_bit_index(1)
+        schedule = wire.leak_schedule(channel, index, plan.mistrain_count,
+                                      plan.mistrain_index, plan.avx_wait_ns)
+        base, ct = victim.config.latency.base_ns, victim.config.cycle_time_ns
+        expected = []
+        for _ in range(4):
+            for op, arg in schedule:
+                _, cycles = twin_victim.handle_request(
+                    wire.RequestPacket(op, arg))
+                rtt = cycles * ct + 2 * base + twin_rng.normal(0.0, sigma)
+            expected.append(rtt)
+        rtts = session.collect_bit(plan, index, 4)
+        assert rtts.tolist() == expected
+        assert session.transport.rng.random() == twin_rng.random()
+
+    @pytest.mark.parametrize("channel", ["cache", "avx"])
+    def test_instance_hooks_see_every_request(self, channel):
+        # per-layer tracing replaces these methods on the instances after
+        # the session is built, so each layer must call the next one
+        # through its instance attribute
+        session, victim = make_session(batched=False, sigma_ns=20.0)
+        calls = dict.fromkeys(("session", "transport", "victim", "rtt"), 0)
+
+        def count(label, obj, name):
+            inner = getattr(obj, name)
+
+            def counted(*args, **kwargs):
+                calls[label] += 1
+                return inner(*args, **kwargs)
+            setattr(obj, name, counted)
+
+        transport = session.transport
+        count("session", session, "request")
+        count("transport", transport, "request")
+        count("victim", victim, "handle_request")
+        count("rtt", transport.latency, "rtt")
+        plan = ExtractionPlan(channel=channel)
+        session.collect_bit(plan, victim.config.secrets.secret_bit_index(0), 3)
+        per_layer = 3 * (plan.mistrain_count + 3)
+        assert calls == dict.fromkeys(calls, per_layer)
+
     def test_decision_symmetry(self):
         calib = Calibration(100.0, 200.0, 150.0, 5.0)
         plan = ExtractionPlan()

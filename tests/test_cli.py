@@ -102,6 +102,14 @@ class TestLeakCommand:
                        "--n", "10", "--out", str(tmp_path / "x"))
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("step", ["-5", "nan"])
+    def test_bad_per_request_time_exit_code(self, tmp_path, step):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"[victim]\nper_request_ns = {step}\n")
+        code = run_cli("leak", "loopback", "--config", str(bad),
+                       "--n", "10", "--out", str(tmp_path / "x"))
+        assert code == cli.EXIT_CONFIG
+
 
 class TestAslrCommand:
     def test_recovers_offset(self, tmp_path):
@@ -116,6 +124,14 @@ class TestAslrCommand:
         with open(out / "rounds.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 12
+
+    def test_default_n_calibrates_at_the_local_preset(self, tmp_path):
+        out = tmp_path / "aslr"
+        code = run_cli("aslr", "loopback", "--space-bits", "4",
+                       "--offset", "11", "--preset", "local", "--seed", "3",
+                       "--out", str(out))
+        assert code == cli.EXIT_OK
+        assert "offset: 11" in (out / "summary.txt").read_text()
 
     def test_bad_offset_is_config_error(self, tmp_path):
         code = run_cli("aslr", "loopback", "--space-bits", "4",

@@ -2,6 +2,7 @@
 serving, and the equivalence of the vectorized batch loops with the
 per-request loop."""
 
+import math
 import struct
 import threading
 import time
@@ -133,6 +134,18 @@ class TestDispatch:
         VictimConfig(aslr_space_bits=0).validate()
         VictimConfig(aslr_space_bits=31,
                      valid_aslr_offset=(1 << 31) - 1).validate()
+
+    def test_per_request_time_is_finite_and_non_negative(self):
+        # caught when the victim is built, not at its first request (a
+        # negative step) or never (nan, which the clock would keep)
+        for step in (-5.0, math.nan):
+            with pytest.raises(ConfigError):
+                Victim(VictimConfig(per_request_ns=step))
+        # the config is read per request, so the clock's guard stays
+        victim = _victim()
+        victim.config.per_request_ns = -5.0
+        with pytest.raises(uarch.ClockError):
+            _req(victim, wire.OP_RESET)
 
 
 class TestDatagrams:

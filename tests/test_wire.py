@@ -36,6 +36,15 @@ class TestCodec:
         assert raw == struct.pack("<BQQ", 0, 7, 42)
         assert decode_response(raw) == ResponsePacket(0, 7, 42)
 
+    def test_packets_are_immutable_values(self):
+        packet = RequestPacket(opcode=wire.OP_RESET, nonce=4)
+        assert packet == RequestPacket(wire.OP_RESET, 0, 4)
+        assert packet.encode() == encode_request(packet)
+        with pytest.raises(AttributeError):
+            packet.arg = 1
+        with pytest.raises(AttributeError):
+            ResponsePacket(wire.STATUS_OK, 4).payload = 1
+
     def test_bad_length_rejected(self):
         with pytest.raises(CodecError):
             decode_request(b"\x01" * 16)

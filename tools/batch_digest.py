@@ -1,5 +1,5 @@
 """Print one digest line per configuration of the measurement loops, on the
-batched and on the per-request path.
+batched and on the per-request path, and per request through a codec.
 
 A digest hashes every ``Session.collect_*`` output of one seeded run (all
 eight calibration corners, four cache and four AVX bits, four value
@@ -15,7 +15,11 @@ same on every path covered, bit for bit:
 The grid: four latency models (Gaussian, lognormal, Gaussian with the
 clamp at 0 active, noiseless) x mitigation noise 0 / 300 ns x barrier off
 / on x a warm / cold training index x n in {1, 2, 65537} batched, or
-n in {1, 2, 7} per request.  The whole grid takes a few seconds.
+n in {1, 2, 7} per request.  The ``codec`` lines repeat the per-request
+grid through a transport that encodes and decodes every request and
+response frame, as a remote target's do, with the loopback's latency model
+and generator; they equal the ``per-request`` lines while the codec loses
+nothing.  The whole grid takes a few seconds.
 
 Then, for each batched configuration that ``Session.moments`` draws
 exactly (Gaussian or noiseless, no mitigation noise), two ``victim`` lines
@@ -52,19 +56,36 @@ LATENCIES = {
 # public bits 1000 0000 0000 0000: index 0 trains on a 1 (warm), 8 on a 0
 SECRETS = SecretStore.with_secret(b"\x80\x00", b"\x96\x3c")
 TRAINING_INDEX = {"warm": 0, "cold": 8}
-SIZES = {"batched": (1, 2, 65537), "per-request": (1, 2, 7)}
+SIZES = {"batched": (1, 2, 65537), "per-request": (1, 2, 7),
+         "codec": (1, 2, 7)}
 
 
-def _session(latency, noise_ns, barrier, batched, seed=11) -> Session:
+class CodecTransport:
+    """``LoopbackTransport`` with every frame encoded and decoded on the
+    way, so the packets' codec is on the digested path."""
+
+    def __init__(self, victim, latency, rng):
+        self.victim, self.latency, self.rng = victim, latency, rng
+
+    def request(self, packet):
+        response, cycles = self.victim.handle_request(
+            wire.decode_request(packet.encode()))
+        rtt = self.latency.rtt(cycles * self.victim.config.cycle_time_ns,
+                               self.rng)
+        return wire.decode_response(response.encode()), rtt
+
+
+def _session(latency, noise_ns, barrier, path, seed=11) -> Session:
     cfg = VictimConfig(secrets=SECRETS, valid_aslr_offset=777,
                        aslr_space_bits=12, value_secret=4242,
                        mitigation_barrier=barrier,
                        mitigation_noise_sigma_ns=noise_ns, latency=latency)
     victim_seed, transport_seed = np.random.SeedSequence(seed).spawn(2)
     victim = Victim(cfg, rng=np.random.default_rng(victim_seed))
-    return Session(LoopbackTransport(victim, latency,
-                                     np.random.default_rng(transport_seed)),
-                   batched=batched)
+    transport = CodecTransport if path == "codec" else LoopbackTransport
+    return Session(transport(victim, latency,
+                             np.random.default_rng(transport_seed)),
+                   batched=path == "batched")
 
 
 def _victim_side(session) -> tuple:
@@ -76,8 +97,8 @@ def _victim_side(session) -> tuple:
             st.cache.aslr_cached_offset, st.avx.last_use_ns)
 
 
-def run(latency, noise_ns, barrier, index, batched, n) -> str:
-    session = _session(latency, noise_ns, barrier, batched)
+def run(latency, noise_ns, barrier, index, path, n) -> str:
+    session = _session(latency, noise_ns, barrier, path)
     victim = session.transport.victim
     cache = ExtractionPlan(channel="cache", mistrain_index=index)
     avx = ExtractionPlan(channel="avx", mistrain_index=index)
@@ -101,7 +122,7 @@ def run(latency, noise_ns, barrier, index, batched, n) -> str:
 def run_victim(latency, barrier, index, n, moments) -> str:
     """The victim side after the reads ``Session.moments`` serves, read as
     moments or as samples."""
-    session = _session(latency, 0.0, barrier, True)
+    session = _session(latency, 0.0, barrier, "batched")
     plan = ExtractionPlan(channel="cache", mistrain_index=index)
     reads = [(session.corner_schedule(channel, corner, plan),
               lambda k, c=channel, r=corner: session.collect_corner(c, r, k, plan))
@@ -128,7 +149,7 @@ def main() -> None:
             TRAINING_INDEX):
         for n in SIZES[path]:
             digest = run(latency, noise_ns, barrier, TRAINING_INDEX[warmth],
-                         path == "batched", n)
+                         path, n)
             print(f"{path} {name} noise={noise_ns:g} barrier={int(barrier)} "
                   f"index={warmth} n={n} {digest}", flush=True)
     for path, name, barrier, warmth in itertools.product(
