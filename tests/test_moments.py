@@ -242,3 +242,37 @@ class TestFallback:
             assert (got != expected) == exact
             assert ((a.transport.rng.random() == b.transport.rng.random())
                     != exact)
+
+
+class TestStreamedRead:
+    """``Session.sample_moments`` streams a batched read one wire.CHUNK at
+    a time; it must read what the whole sample array reads."""
+
+    @staticmethod
+    def _read(session, name):
+        if name == "value":
+            return _read(session, "value")
+        plan = ExtractionPlan(channel=name, reset_bytes=HALF_EVICT_BYTES)
+        index = session.transport.victim.config.secrets.secret_bit_index(0)
+        return (session.bit_schedule(plan, index),
+                lambda k: session.collect_bit(plan, index, k))
+
+    @pytest.mark.parametrize("n", [1, 2, wire.CHUNK - 1, wire.CHUNK,
+                                   wire.CHUNK + 1, 2 * wire.CHUNK + 5])
+    @pytest.mark.parametrize("name", ["cache", "avx", "value"])
+    def test_equals_the_array_read(self, name, n):
+        # a fresh victim's predictor is cold, so the settle loop steps
+        # some iterations before the rest are drawn vectorized
+        a, b, c = (_session(12, LOCAL) for _ in range(3))
+        schedule, _ = self._read(c, name)
+        head, _ = c.transport.victim._settle(schedule, n)
+        assert len(head) >= 1
+        schedule, collect = self._read(a, name)
+        got = a.sample_moments(schedule, n, collect)
+        expected = _sample_moments(self._read(b, name)[1](n))
+        if n <= wire.CHUNK:
+            assert got == expected
+        else:
+            assert got == pytest.approx(expected, rel=1e-12, abs=0)
+        assert _victim_state(a) == _victim_state(b)
+        assert a.transport.rng.random() == b.transport.rng.random()

@@ -21,6 +21,12 @@ response frame, as a remote target's do, with the loopback's latency model
 and generator; they equal the ``per-request`` lines while the codec loses
 nothing.  The whole grid takes a few seconds.
 
+For each batched configuration, a ``leak_range`` line hashes the bits of
+an 8-bit ``leak_range`` on each channel at n measurements per bit, both
+request counters, the victim state and the next draw of both generators;
+it leaves the confidences out.  Each channel's calibration comes from a
+noiseless twin victim, so the read under test is the bit leak alone.
+
 Then, for each batched configuration that ``Session.moments`` draws
 exactly (Gaussian or noiseless, no mitigation noise), two ``victim`` lines
 hash only the victim side (both request counters, the clock, the
@@ -41,7 +47,7 @@ import itertools
 import numpy as np
 
 from spectrelab import wire
-from spectrelab.attacker import ExtractionPlan, Session
+from spectrelab.attacker import ExtractionPlan, Session, calibrate, leak_range
 from spectrelab.uarch import SecretStore
 from spectrelab.victim import Victim, VictimConfig
 from spectrelab.wire import LatencyModel, LoopbackTransport
@@ -119,6 +125,24 @@ def run(latency, noise_ns, barrier, index, path, n) -> str:
     return h.hexdigest()[:16]
 
 
+def run_leak(latency, noise_ns, barrier, index, n) -> str:
+    session = _session(latency, noise_ns, barrier, "batched")
+    start = SECRETS.secret_bit_index(0)
+    h = hashlib.sha256()
+    for channel in ("cache", "avx"):
+        plan = ExtractionPlan(channel=channel, mistrain_index=index,
+                              measurements_per_bit=n,
+                              target_bit_range=(start, start + 8))
+        twin = _session(LatencyModel.noiseless(latency.base_ns), 0.0, barrier,
+                        "batched")
+        result = leak_range(session, plan, calibrate(twin, plan, n=1))
+        h.update(repr((result.bits, result.requests_total)).encode())
+    h.update(repr(_victim_side(session) + (
+        session.transport.victim.rng.random(),
+        session.transport.rng.random())).encode())
+    return h.hexdigest()[:16]
+
+
 def run_victim(latency, barrier, index, n, moments) -> str:
     """The victim side after the reads ``Session.moments`` serves, read as
     moments or as samples."""
@@ -151,6 +175,13 @@ def main() -> None:
             digest = run(latency, noise_ns, barrier, TRAINING_INDEX[warmth],
                          path, n)
             print(f"{path} {name} noise={noise_ns:g} barrier={int(barrier)} "
+                  f"index={warmth} n={n} {digest}", flush=True)
+    for (name, latency), noise_ns, barrier, warmth in itertools.product(
+            LATENCIES.items(), (0.0, 300.0), (False, True), TRAINING_INDEX):
+        for n in SIZES["batched"]:
+            digest = run_leak(latency, noise_ns, barrier,
+                              TRAINING_INDEX[warmth], n)
+            print(f"leak_range {name} noise={noise_ns:g} barrier={int(barrier)} "
                   f"index={warmth} n={n} {digest}", flush=True)
     for path, name, barrier, warmth in itertools.product(
             ("samples", "moments"), ("gaussian", "noiseless"), (False, True),
