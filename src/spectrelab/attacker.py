@@ -110,7 +110,8 @@ class Session:
 
     def request(self, opcode: int, arg: int = 0):
         self._nonce = nonce = self._nonce + 1
-        packet = RequestPacket(opcode, arg, nonce)
+        # RequestPacket(opcode, arg, nonce) without its generated __new__
+        packet = tuple.__new__(RequestPacket, (opcode, arg, nonce))
         retries = REQUEST_RETRIES
         while True:
             try:

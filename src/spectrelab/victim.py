@@ -137,7 +137,9 @@ class Victim:
         if self._log is not None:
             self._log.write(f"{packet.opcode:#04x} {packet.arg} {cycles:.3f}\n")
 
-        return ResponsePacket(status, packet.nonce, payload), cycles
+        # ResponsePacket(status, nonce, payload) without its generated __new__
+        return tuple.__new__(ResponsePacket,
+                             (status, packet.nonce, payload)), cycles
 
     def _dispatch(self, op: int, arg, rng) -> tuple[int, int, float]:
         """Advance the clock by one request and run its gadget; returns
@@ -219,7 +221,8 @@ class Victim:
     # (run_moments only counts the evictions).  The predictor counter
     # settles within three iterations (one iteration maps it by a monotone
     # function), the cache flags at the first, a cached layout offset at
-    # the first eviction.
+    # the first eviction.  Until then only an eviction changes the state,
+    # so the iterations up to it are vectorized too (_until_eviction).
     #
     # Counters, clock, final state and generator draws match the
     # per-request loop, and with a noiseless transport so do the returned
@@ -301,10 +304,37 @@ class Victim:
             for forced in (_EVICT, _KEEP):
                 trials.append((self._iterate(schedule, forced), self._snapshot()))
                 self._restore(start)
-            if all(_returns(start, end) for _, end in trials):
+            evict_returns, keep_returns = (_returns(start, end)
+                                           for _, end in trials)
+            if evict_returns and keep_returns:
                 return head, trials
-            head.append(self._iterate(schedule, self.rng))
+            if keep_returns:         # so the evict trial evicted
+                head += self._until_eviction(schedule, n - len(head), trials)
+            else:
+                head.append(self._iterate(schedule, self.rng))
         return head, None
+
+    def _until_eviction(self, schedule: list, k: int, trials: list) -> list:
+        """The timed cycles of up to k iterations from a state only an
+        eviction changes (a cached layout offset).  The ones that keep the
+        cache are the keep trial, so their uniforms are drawn vectorized up
+        to the first eviction; the generator is rewound to just past its
+        uniform, and that iteration runs as the evict trial does."""
+        rng, p_evict = self.rng, self._p_evict(schedule)
+        keeps = k
+        for i in range(0, k, wire.CHUNK):
+            state = rng.bit_generator.state
+            evicted = np.flatnonzero(rng.random(min(wire.CHUNK, k - i)) < p_evict)
+            if evicted.size:
+                rng.bit_generator.state = state
+                rng.random(int(evicted[0]) + 1)
+                keeps = i + int(evicted[0])
+                break
+        cycles = [trials[1][0]] * keeps
+        self._pass_time(schedule, keeps, trials[1:])
+        if keeps < k:
+            cycles.append(self._iterate(schedule, _EVICT))
+        return cycles
 
     def _iterate(self, schedule: list, rng) -> float:
         """One iteration through the gadgets; returns the timed cycles."""

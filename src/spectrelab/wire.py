@@ -316,22 +316,94 @@ class LatencyModel:
 # Transports
 # ---------------------------------------------------------------------------
 
+# Scalar draws per block of BlockDraws.
+BLOCK = 1024
+
+_NORMAL = ("standard_normal",)
+
+
+class BlockDraws:
+    """A generator's scalar ``standard_normal()`` and ``lognormal(mean,
+    sigma)`` draws, served from blocks of BLOCK drawn at once.  A vector
+    draw yields the values of as many scalar draws, at a fraction of
+    numpy's cost per call; ``settle`` puts the generator where the scalar
+    draws served so far would have left it.  A call with a size settles
+    and delegates."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self._key = None     # (method, *args) of the block being served
+        self._block = []     # its values not yet served, the next one last
+        self._state = None   # the bit generator's state before the block
+
+    def standard_normal(self, size=None):
+        if size is None and self._key is _NORMAL:
+            try:
+                return self._block.pop()
+            except IndexError:
+                pass
+        return self._draw(_NORMAL, size)
+
+    def lognormal(self, mean=0.0, sigma=1.0, size=None):
+        key = ("lognormal", mean, sigma)
+        if size is None and self._key == key:
+            try:
+                return self._block.pop()
+            except IndexError:
+                pass
+        return self._draw(key, size)
+
+    def _draw(self, key: tuple, size):
+        self.settle()
+        method, *args = key
+        draw = getattr(self.rng, method)
+        if size is not None:
+            return draw(*args, size=size)
+        self._state = self.rng.bit_generator.state
+        block = draw(*args, size=BLOCK).tolist()
+        block.reverse()
+        self._key, self._block = key, block
+        return block.pop()
+
+    def settle(self) -> None:
+        """Rewind the generator to before the current block and redraw the
+        values served from it; a block served to its end needs neither."""
+        if self._block:
+            method, *args = self._key
+            self.rng.bit_generator.state = self._state
+            getattr(self.rng, method)(*args, size=BLOCK - len(self._block))
+        self._key, self._block, self._state = None, [], None
+
+
 class LoopbackTransport:
     """In-process transport: requests go straight to a victim instance and
     the round-trip time is synthesized from the latency model.  Fully
     deterministic under a seeded generator.
+
+    Each request's noise comes from ``BlockDraws`` over the generator,
+    which ``rng`` settles before handing it out, so every reader finds it
+    where one scalar draw per request would have left it.  A generator
+    shared with the victim is drawn from directly: drawing ahead would
+    reorder the victim's eviction draws.
     """
 
     def __init__(self, victim, latency: LatencyModel, rng: np.random.Generator):
         self.victim = victim
         self.latency = latency
-        self.rng = rng
+        self._rng = rng
+        self._draws = rng if rng is victim.rng else BlockDraws(rng)
+
+    @property
+    def rng(self) -> np.random.Generator:
+        if self._draws is not self._rng:
+            self._draws.settle()
+        return self._rng
 
     def request(self, packet: RequestPacket) -> tuple[ResponsePacket, float]:
         victim = self.victim
         response, server_cycles = victim.handle_request(packet)
         return response, self.latency.rtt(
-            server_cycles * victim.config.cycle_time_ns, self.rng)
+            server_cycles * victim.config.cycle_time_ns, self._draws)
 
     def close(self) -> None:
         pass

@@ -390,6 +390,29 @@ class TestBatchEquivalence:
         assert a.tolist() == b.tolist() == [20600.0, 20600.0]
         pair.assert_state_matches()
 
+    @pytest.mark.parametrize("reset_bytes", [1, 100])
+    def test_cached_layout_offset_skips_to_the_eviction(self, reset_bytes):
+        # while a layout offset stays cached only an eviction changes the
+        # state, so the batch draws the iterations up to it vectorized: at
+        # 1 byte none of the 20000 downloads evicts, at 100 bytes one does
+        pair = _Pair(valid_aslr_offset=5)
+        for session in (pair.slow, pair.batch):
+            for lo, hi in ((0, 0), (0, 0), (0, 16)):    # train twice, probe
+                session.request(wire.OP_ASLR_PROBE, (lo << 32) | hi)
+        iterate, calls = pair.vb._iterate, []
+        pair.vb._iterate = lambda *args: calls.append(args) or iterate(*args)
+        plan = ExtractionPlan(reset_bytes=reset_bytes)
+        a = pair.slow.collect_value(0, 20_000, plan)
+        b = pair.batch.collect_value(0, 20_000, plan)
+        assert len(calls) < 20
+        assert a.tolist() == b.tolist()
+        assert pair.slow.counters == pair.batch.counters
+        assert (pair.va.state.cache.aslr_cached_offset
+                == pair.vb.state.cache.aslr_cached_offset
+                == (5 if reset_bytes == 1 else None))
+        assert pair.slow.transport.rng.random() == pair.batch.transport.rng.random()
+        pair.assert_state_matches()
+
     def test_cache_leak_of_in_bounds_set_bit(self):
         # the architectural access of an in-bounds 1 bit sets the variable
         secrets = SecretStore(bytes([0b01000000]) + b"\x0f", bitstream_length=8)

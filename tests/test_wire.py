@@ -166,3 +166,78 @@ class TestLoopbackTransport:
                     for i in range(50)]
 
         assert run() == run()
+
+
+class _ScalarLoopback(wire.LoopbackTransport):
+    """The loopback transport drawing each request's noise straight from
+    its generator, one scalar draw per request."""
+
+    def request(self, packet):
+        response, cycles = self.victim.handle_request(packet)
+        return response, self.latency.rtt(
+            cycles * self.victim.config.cycle_time_ns, self.rng)
+
+
+def _loopback(cls, latency, shared=False):
+    from spectrelab.victim import Victim, VictimConfig
+    victim = Victim(VictimConfig(latency=latency), seed=3)
+    return cls(victim, latency,
+               victim.rng if shared else np.random.default_rng(4))
+
+
+# a cache leak loop: ten trainings, a download (one victim uniform), the
+# leak and the transmit
+_LOOP = wire.leak_schedule("cache", 130, 10, 0, 590_000)
+
+
+def _requests(transport, k):
+    return [transport.request(RequestPacket(*_LOOP[i % len(_LOOP)], i))[1]
+            for i in range(k)]
+
+
+class TestBlockDraws:
+    """The loopback transport serves per-request noise from blocks of
+    wire.BLOCK draws; every read must equal one scalar draw per request."""
+
+    @pytest.mark.parametrize("distribution", ["gaussian", "lognormal"])
+    @pytest.mark.parametrize("k", [wire.BLOCK - 1, wire.BLOCK, wire.BLOCK + 1,
+                                   3 * wire.BLOCK])
+    def test_reads_equal_scalar_draws(self, distribution, k):
+        latency = LatencyModel(base_ns=100_000.0, sigma_ns=15_600.0,
+                               distribution=distribution)
+        blocks, twin = (_loopback(cls, latency)
+                        for cls in (wire.LoopbackTransport, _ScalarLoopback))
+        for _ in range(2):          # the second read starts after a settle
+            assert _requests(blocks, k) == _requests(twin, k)
+            assert blocks.rng.random() == twin.rng.random()
+
+    def test_noiseless_draws_nothing(self):
+        transport = _loopback(wire.LoopbackTransport, LatencyModel.noiseless())
+        _requests(transport, 2 * wire.BLOCK + 1)
+        assert transport.rng.random() == np.random.default_rng(4).random()
+
+    @pytest.mark.parametrize("distribution", ["gaussian", "lognormal"])
+    def test_generator_shared_with_the_victim(self, distribution):
+        # the victim draws a uniform per download between the noise draws
+        latency = LatencyModel(base_ns=100_000.0, sigma_ns=15_600.0,
+                               distribution=distribution)
+        blocks, twin = (_loopback(cls, latency, shared=True)
+                        for cls in (wire.LoopbackTransport, _ScalarLoopback))
+        assert _requests(blocks, 2 * wire.BLOCK + 1) == _requests(
+            twin, 2 * wire.BLOCK + 1)
+        assert blocks.rng.random() == twin.rng.random()
+
+    def test_raw_requests_then_batched_read(self):
+        from spectrelab.attacker import ExtractionPlan, Session
+        latency = LatencyModel(base_ns=100_000.0, sigma_ns=15_600.0)
+        outs = []
+        for cls in (wire.LoopbackTransport, _ScalarLoopback):
+            transport = _loopback(cls, latency)
+            session = Session(transport)
+            assert session.batched
+            raw = [session.request(op, arg)[1] for op, arg in _LOOP * 100]
+            read = session.collect_bit(ExtractionPlan(), 130, 5000)
+            outs.append((raw, read.tolist(), dict(session.counters),
+                         transport.victim.rng.random(),
+                         transport.rng.random()))
+        assert outs[0] == outs[1]

@@ -15,11 +15,14 @@ same on every path covered, bit for bit:
 The grid: four latency models (Gaussian, lognormal, Gaussian with the
 clamp at 0 active, noiseless) x mitigation noise 0 / 300 ns x barrier off
 / on x a warm / cold training index x n in {1, 2, 65537} batched, or
-n in {1, 2, 7} per request.  The ``codec`` lines repeat the per-request
-grid through a transport that encodes and decodes every request and
-response frame, as a remote target's do, with the loopback's latency model
-and generator; they equal the ``per-request`` lines while the codec loses
-nothing.  The whole grid takes a few seconds.
+n in {1, 2, 7, 100} per request; at n = 100 a bit read makes 1,300
+requests, more than one ``wire.BLOCK`` of per-request noise draws.  The
+``codec`` lines repeat the per-request grid through a transport that
+encodes and decodes every request and response frame, as a remote
+target's do, with the loopback's latency model and generator, drawing
+each request's noise as one scalar; they equal the ``per-request`` lines
+while the codec loses nothing and the loopback's blocks of noise draws
+equal scalar draws.  The whole grid takes under a minute.
 
 For each batched configuration, a ``leak_range`` line hashes the bits of
 an 8-bit ``leak_range`` on each channel at n measurements per bit, both
@@ -62,8 +65,8 @@ LATENCIES = {
 # public bits 1000 0000 0000 0000: index 0 trains on a 1 (warm), 8 on a 0
 SECRETS = SecretStore.with_secret(b"\x80\x00", b"\x96\x3c")
 TRAINING_INDEX = {"warm": 0, "cold": 8}
-SIZES = {"batched": (1, 2, 65537), "per-request": (1, 2, 7),
-         "codec": (1, 2, 7)}
+SIZES = {"batched": (1, 2, 65537), "per-request": (1, 2, 7, 100),
+         "codec": (1, 2, 7, 100)}
 
 
 class CodecTransport:
