@@ -5,7 +5,7 @@ comparisons.
 
 A Session owns one transport.  On the in-process loopback transport the
 per-measurement loop can run vectorized server-side (identical semantics,
-see Victim.batch_*), and a read of only a mean and variance can be drawn
+see Victim.stream), and a read of only a mean and variance can be drawn
 exactly from the victim's moments (Session.moments); over UDP every
 request is a real datagram.
 """
@@ -141,24 +141,30 @@ class Session:
 
     # -- measurement loops -----------------------------------------------
 
-    def _batch_rtts(self, cycles: np.ndarray) -> np.ndarray:
-        """Turn a kernel's cycle array into round-trip times, in place."""
+    def _rtts(self, schedule: list, n: int, out: Optional[np.ndarray] = None):
+        """The round-trip times of n batched iterations of ``schedule``, one
+        wire.CHUNK at a time: each view of ``Victim.stream(schedule, n,
+        out)`` turned into round trips in place.  The session counts the
+        schedule's requests after the last view."""
         t = self.transport
-        cycles *= t.victim.config.cycle_time_ns
-        return t.latency.rtt(cycles, t.rng, size=cycles.shape[0])
+        ct = t.victim.config.cycle_time_ns
+        for view in t.victim.stream(schedule, n, out):
+            view *= ct
+            yield t.latency.rtt(view, t.rng, size=len(view))
+        self.counters.update(wire.schedule_counts(schedule, n))
 
-    def _collect(self, schedule: list, n: int,
-                 kernel: Callable[[Victim], np.ndarray]) -> np.ndarray:
+    def _collect(self, schedule: list, n: int) -> np.ndarray:
         """n iterations of ``schedule``; returns the round-trip time of each
-        iteration's last request.  Batched, ``kernel(victim)`` runs the
-        same n iterations as one victim batch instead."""
+        iteration's last request."""
+        if n < 1:
+            raise ValueError("a read needs at least one measurement")
+        out = np.empty(n)
         if self.batched:
-            cycles = kernel(self.transport.victim)
-            self.counters.update(wire.schedule_counts(schedule, n))
-            return self._batch_rtts(cycles)
+            for _ in self._rtts(schedule, n, out):
+                pass
+            return out
         *steps, (timed_op, timed_arg) = schedule
         request, advance = self.request, wire.OP_ADVANCE_CLOCK
-        out = np.empty(n)
         for i in range(n):
             for op, arg in steps:
                 if op == advance:
@@ -174,15 +180,7 @@ class Session:
         transmit round-trip times."""
         plan.validate()
         n = plan.measurements_per_bit if n is None else n
-        m, index = plan.mistrain_count, plan.mistrain_index
-        if plan.channel == "cache":
-            return self._collect(
-                self.bit_schedule(plan, bit_index), n,
-                lambda v: v.batch_leak_cache(bit_index, n, m, plan.reset_bytes,
-                                             index))
-        return self._collect(
-            self.bit_schedule(plan, bit_index), n,
-            lambda v: v.batch_leak_avx(bit_index, n, m, plan.avx_wait_ns, index))
+        return self._collect(self.bit_schedule(plan, bit_index), n)
 
     def bit_schedule(self, plan: ExtractionPlan, bit_index: int) -> list:
         """``wire.leak_schedule`` for ``plan``."""
@@ -192,24 +190,18 @@ class Session:
 
     def collect_corner(self, channel: str, corner: str, n: int,
                        plan: Optional[ExtractionPlan] = None) -> np.ndarray:
-        plan = plan or ExtractionPlan()
         return self._collect(
-            self.corner_schedule(channel, corner, plan), n,
-            lambda v: v.batch_corner(channel, corner, n, plan.reset_bytes,
-                                     plan.avx_wait_ns))
+            self.corner_schedule(channel, corner, plan or ExtractionPlan()), n)
 
     def collect_value(self, guess: int, n: int,
                       plan: Optional[ExtractionPlan] = None) -> np.ndarray:
         plan = plan or ExtractionPlan()
-        m = plan.mistrain_count
         return self._collect(
-            wire.value_schedule(guess, m, plan.reset_bytes), n,
-            lambda v: v.batch_value_cmp(guess, n, m, plan.reset_bytes))
+            wire.value_schedule(guess, plan.mistrain_count, plan.reset_bytes), n)
 
     def collect_aslr(self, lo: int, hi: int, n: int,
                      mistrain: int = 10) -> np.ndarray:
-        return self._collect(wire.aslr_schedule(lo, hi, mistrain), n,
-                             lambda v: v.batch_aslr_check(lo, hi, n, mistrain))
+        return self._collect(wire.aslr_schedule(lo, hi, mistrain), n)
 
     def corner_schedule(self, channel: str, corner: str, plan: ExtractionPlan) -> list:
         """``wire.corner_schedule`` for ``plan``."""
@@ -217,14 +209,13 @@ class Session:
                                     plan.avx_wait_ns)
 
     def moments(self, schedule: list, n: int,
-                collect: Callable[[int], np.ndarray]) -> tuple[float, float]:
+                collect: Optional[Callable[[int], np.ndarray]] = None
+                ) -> tuple[float, float]:
         """Mean and ddof-1 variance of the timed round trips of n iterations
         of ``schedule``.  Batched, with Gaussian noise, no mitigation noise
         and under 1e-12 chance of a clamp at 0 in the read, they are drawn
         exactly from the victim's moments (``rtt_moments``); otherwise
         they are read from samples (``sample_moments``)."""
-        if n < 1:
-            raise ValueError("a read needs at least one measurement")
         t = self.transport
         if (self.batched and t.latency.distribution == "gaussian"
                 and t.victim.config.mitigation_noise_sigma_ns == 0
@@ -236,26 +227,17 @@ class Session:
         return self.sample_moments(schedule, n, collect)
 
     def sample_moments(self, schedule: list, n: int,
-                       collect: Callable[[int], np.ndarray]) -> tuple[float, float]:
+                       collect: Optional[Callable[[int], np.ndarray]] = None
+                       ) -> tuple[float, float]:
         """Mean and ddof-1 variance of the n timed round trips of
-        ``schedule``, each one drawn.  Batched, the victim streams their
-        cycles one wire.CHUNK at a time and each chunk is reduced as its
-        round trips are drawn, so no n-long array is made; per request,
-        ``collect(n)`` samples the loop."""
-        if n < 1:
-            raise ValueError("a read needs at least one measurement")
+        ``schedule``, each one drawn.  Batched, each wire.CHUNK of round
+        trips is reduced as it is drawn (``_rtts``), so no n-long array is
+        made; per request, ``collect(n)`` samples the loop, or
+        ``_collect`` when no ``collect`` is given."""
         if not self.batched:
-            return _sample_moments(collect(n))
-        t = self.transport
-        ct = t.victim.config.cycle_time_ns
-
-        def rtts():
-            for view in t.victim.stream(schedule, n):
-                view *= ct
-                yield t.latency.rtt(view, t.rng, size=view.shape[0])
-        moments = _moments(rtts())
-        self.counters.update(wire.schedule_counts(schedule, n))
-        return moments
+            return _sample_moments(
+                collect(n) if collect else self._collect(schedule, n))
+        return _moments(self._rtts(schedule, n))
 
 
 def _moments(chunks) -> tuple[float, float]:
@@ -305,9 +287,7 @@ def calibrate(session: Session, plan: ExtractionPlan,
     n = n if n is not None else plan.measurements_per_bit
 
     def corner(name: str) -> tuple[float, float]:
-        return session.moments(
-            session.corner_schedule(channel, name, plan), n,
-            lambda k: session.collect_corner(channel, name, k, plan))
+        return session.moments(session.corner_schedule(channel, name, plan), n)
 
     mean_hit, var_hit = corner("hit")
     mean_miss, var_miss = corner("miss")
@@ -365,8 +345,7 @@ def leak_bit(session: Session, plan: ExtractionPlan, calib: Calibration,
     if plan.decision == "mean" and not keep_samples:
         plan.validate()
         mean, var = session.sample_moments(
-            session.bit_schedule(plan, bit_index), n,
-            lambda k: session.collect_bit(plan, bit_index, k))
+            session.bit_schedule(plan, bit_index), n)
         return BitRead(bit=1 if mean < threshold else 0,
                        confidence=mean_z(mean, var, n, threshold))
     rtts = session.collect_bit(plan, bit_index)
@@ -501,9 +480,8 @@ def break_aslr(session: Session, aslr_space_bits: int, probes_per_check: int,
         calib = calibrate(session, plan, n=probes_per_check, channel="aslr")
 
     def mean(lo: int, hi: int) -> float:
-        return session.moments(
-            wire.aslr_schedule(lo, hi, mistrain), probes_per_check,
-            lambda k: session.collect_aslr(lo, hi, k, mistrain))[0]
+        return session.moments(wire.aslr_schedule(lo, hi, mistrain),
+                               probes_per_check)[0]
 
     requests_before = session.total_requests()
     lo, hi = 0, 1 << aslr_space_bits
@@ -572,8 +550,7 @@ def _compare_sequentially(session: Session, guess: int, n: int,
     schedule = wire.value_schedule(guess, plan.mistrain_count, plan.reset_bytes)
     shortfall = 0.0          # sum of threshold - rtt
     for comparisons in range(1, cap + 1):
-        mean, _ = session.moments(schedule, n,
-                                  lambda k: session.collect_value(guess, k, plan))
+        mean, _ = session.moments(schedule, n)
         shortfall += n * (calib.threshold_ns - mean)
         if var == 0:
             above = shortfall > 0

@@ -276,3 +276,45 @@ class TestStreamedRead:
             assert got == pytest.approx(expected, rel=1e-12, abs=0)
         assert _victim_state(a) == _victim_state(b)
         assert a.transport.rng.random() == b.transport.rng.random()
+
+
+class TestScheduleOnlyRead:
+    """A read given only its schedule reads what the same read given its
+    sample path (``collect``) does, on either path."""
+
+    @pytest.mark.parametrize("batched", [True, False])
+    @pytest.mark.parametrize("method", ["moments", "sample_moments"])
+    @pytest.mark.parametrize("name", READS)
+    def test_equals_the_read_given_collect(self, name, method, batched):
+        a, b = _session(14, LOCAL, batched), _session(14, LOCAL, batched)
+        for s in (a, b):
+            _warm_up(s)
+        schedule, _ = _read(a, name)
+        got = getattr(a, method)(schedule, 50)
+        schedule, collect = _read(b, name)
+        assert got == getattr(b, method)(schedule, 50, collect)
+        assert _victim_state(a) == _victim_state(b)
+        assert a.transport.rng.random() == b.transport.rng.random()
+
+
+class TestEmptyRead:
+    """A read of no measurements is refused on both paths, before any
+    request or draw."""
+
+    @staticmethod
+    def _collects(session):
+        plan = ExtractionPlan()
+        return {"bit": lambda: session.collect_bit(plan, 0, 0),
+                "corner": lambda: session.collect_corner("cache", "hit", 0),
+                "value": lambda: session.collect_value(3, 0),
+                "aslr": lambda: session.collect_aslr(0, 8, 0)}
+
+    @pytest.mark.parametrize("read", ["bit", "corner", "value", "aslr"])
+    def test_collect_refuses_zero(self, read):
+        for batched in (True, False):
+            a, b = _session(15, LOCAL, batched), _session(15, LOCAL, batched)
+            with pytest.raises(ValueError):
+                self._collects(a)[read]()
+            assert a.total_requests() == 0
+            assert _victim_state(a) == _victim_state(b)
+            assert a.transport.rng.random() == b.transport.rng.random()

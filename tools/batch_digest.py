@@ -30,6 +30,14 @@ request counters, the victim state and the next draw of both generators;
 it leaves the confidences out.  Each channel's calibration comes from a
 noiseless twin victim, so the read under test is the bit leak alone.
 
+Four ``attack`` lines per latency model hash what the library's attacks
+read one request at a time, at the ``request`` benchmark workload's
+operating point (100 us base, sigma 20 ns) and noiseless: the four
+calibrations, an 8-bit ``leak_range`` on each channel (bits, confidences,
+requests), a 6-bit ``break_aslr`` that calibrates itself and an 8-bit
+``value_threshold_search``, each with both request counters, the victim
+state and the next draw of both generators.
+
 Then, for each batched configuration that ``Session.moments`` draws
 exactly (Gaussian or noiseless, no mitigation noise), two ``victim`` lines
 hash only the victim side (both request counters, the clock, the
@@ -50,7 +58,8 @@ import itertools
 import numpy as np
 
 from spectrelab import wire
-from spectrelab.attacker import ExtractionPlan, Session, calibrate, leak_range
+from spectrelab.attacker import (ExtractionPlan, Session, break_aslr, calibrate,
+                                 leak_range, value_threshold_search)
 from spectrelab.uarch import SecretStore
 from spectrelab.victim import Victim, VictimConfig
 from spectrelab.wire import LatencyModel, LoopbackTransport
@@ -67,6 +76,13 @@ SECRETS = SecretStore.with_secret(b"\x80\x00", b"\x96\x3c")
 TRAINING_INDEX = {"warm": 0, "cold": 8}
 SIZES = {"batched": (1, 2, 65537), "per-request": (1, 2, 7, 100),
          "codec": (1, 2, 7, 100)}
+VICTIM = dict(valid_aslr_offset=777, aslr_space_bits=12, value_secret=4242)
+# the ``request`` benchmark workload's operating point, and no noise
+ATTACK_LATENCIES = {"request": LatencyModel(base_ns=100_000.0, sigma_ns=20.0),
+                    "noiseless": LatencyModel.noiseless(100_000.0)}
+ATTACKS = ("calibrate", "leak_range", "break_aslr", "value_threshold_search")
+ATTACK_N = 100          # measurements per bit, layout check and comparison
+ATTACK_CAL_N = 1000     # measurements per calibration corner
 
 
 class CodecTransport:
@@ -84,11 +100,10 @@ class CodecTransport:
         return wire.decode_response(response.encode()), rtt
 
 
-def _session(latency, noise_ns, barrier, path, seed=11) -> Session:
-    cfg = VictimConfig(secrets=SECRETS, valid_aslr_offset=777,
-                       aslr_space_bits=12, value_secret=4242,
-                       mitigation_barrier=barrier,
-                       mitigation_noise_sigma_ns=noise_ns, latency=latency)
+def _session(latency, noise_ns, barrier, path, seed=11, **overrides) -> Session:
+    cfg = VictimConfig(secrets=SECRETS, mitigation_barrier=barrier,
+                       mitigation_noise_sigma_ns=noise_ns, latency=latency,
+                       **{**VICTIM, **overrides})
     victim_seed, transport_seed = np.random.SeedSequence(seed).spawn(2)
     victim = Victim(cfg, rng=np.random.default_rng(victim_seed))
     transport = CodecTransport if path == "codec" else LoopbackTransport
@@ -146,6 +161,35 @@ def run_leak(latency, noise_ns, barrier, index, n) -> str:
     return h.hexdigest()[:16]
 
 
+def run_attack(latency, attack) -> str:
+    """One attack as the library runs it, on the per-request path: its
+    result, both request counters, the victim state and both next draws."""
+    session = _session(latency, 0.0, False, "per-request",
+                       valid_aslr_offset=45, aslr_space_bits=6, value_secret=167)
+    if attack == "calibrate":
+        result = [calibrate(session, ExtractionPlan(), n=ATTACK_CAL_N,
+                            channel=channel)
+                  for channel in ("cache", "value", "avx", "aslr")]
+    elif attack == "leak_range":
+        start, result = SECRETS.secret_bit_index(0), []
+        for channel in ("cache", "avx"):
+            plan = ExtractionPlan(channel=channel, measurements_per_bit=ATTACK_N,
+                                  target_bit_range=(start, start + 8))
+            leak = leak_range(session, plan,
+                              calibrate(session, plan, n=ATTACK_CAL_N))
+            result.append((leak.bits, leak.confidences, leak.requests_total))
+    elif attack == "break_aslr":
+        result = break_aslr(session, 6, ATTACK_N)
+    else:
+        plan = ExtractionPlan(measurements_per_bit=ATTACK_N)
+        result = value_threshold_search(
+            session, 8, plan,
+            calibrate(session, plan, n=ATTACK_CAL_N, channel="value"))
+    fields = (result,) + _victim_side(session) + (
+        session.transport.victim.rng.random(), session.transport.rng.random())
+    return hashlib.sha256(repr(fields).encode()).hexdigest()[:16]
+
+
 def run_victim(latency, barrier, index, n, moments) -> str:
     """The victim side after the reads ``Session.moments`` serves, read as
     moments or as samples."""
@@ -186,6 +230,10 @@ def main() -> None:
                               TRAINING_INDEX[warmth], n)
             print(f"leak_range {name} noise={noise_ns:g} barrier={int(barrier)} "
                   f"index={warmth} n={n} {digest}", flush=True)
+    for (name, latency), attack in itertools.product(ATTACK_LATENCIES.items(),
+                                                     ATTACKS):
+        print(f"attack per-request {name} {attack} {run_attack(latency, attack)}",
+              flush=True)
     for path, name, barrier, warmth in itertools.product(
             ("samples", "moments"), ("gaussian", "noiseless"), (False, True),
             TRAINING_INDEX):
