@@ -23,7 +23,7 @@ from . import stats, wire
 from .stats import HistogramSpec
 from .victim import Victim, VictimConfig
 from .wire import (LoopbackTransport, RequestPacket, RequestTimeout,
-                   STATUS_BAD_ARG, STATUS_OK, WireError)
+                   STATUS_BAD_ARG, STATUS_OK, UDPTransport, WireError)
 
 
 class CalibrationError(RuntimeError):
@@ -104,14 +104,19 @@ class Session:
         self.batched = batched and isinstance(transport, LoopbackTransport)
         self.counters: wire.Counts = wire.Counts()
         self._nonce = 0
+        # the library's transports take a plain (opcode, arg, nonce) triple;
+        # any other gets the named RequestPacket it may read fields from
+        self._named = not isinstance(transport, (LoopbackTransport,
+                                                 UDPTransport))
         self._wall_reset = False   # victim rejected ADVANCE_CLOCK; sleep instead
 
     # -- raw requests ----------------------------------------------------
 
     def request(self, opcode: int, arg: int = 0):
         self._nonce = nonce = self._nonce + 1
-        # RequestPacket(opcode, arg, nonce) without its generated __new__
-        packet = tuple.__new__(RequestPacket, (opcode, arg, nonce))
+        packet = (opcode, arg, nonce)
+        if self._named:
+            packet = RequestPacket._make(packet)
         retries = REQUEST_RETRIES
         while True:
             try:
@@ -591,6 +596,7 @@ def value_threshold_search(session: Session, value_bits: int,
     a round still undecided after _ROUND_PATIENCE times the comparisons
     Wald's test expects on a signal-free channel.
     """
+    plan.validate()
     n = plan.measurements_per_bit
     margin = _MARGIN_SE * calib.threshold_se_ns
     half_gap = 0.5 * (calib.mean_miss_ns - calib.mean_hit_ns) - margin

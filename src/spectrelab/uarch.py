@@ -66,11 +66,18 @@ class BranchPredictor:
         return self.counters.get(site, 0) >= 2
 
     def train(self, site: int, taken: bool) -> None:
-        c = self.counters.get(site, 0)
+        self.resolve(site, taken)
+
+    def resolve(self, site: int, taken: bool) -> bool:
+        """``predict`` then ``train`` in one call: returns the prediction
+        the branch ran under."""
+        counters = self.counters
+        c = counters.get(site, 0)
         if taken:
-            self.counters[site] = c + 1 if c < 3 else 3
+            counters[site] = c + 1 if c < 3 else 3
         else:
-            self.counters[site] = c - 1 if c > 0 else 0
+            counters[site] = c - 1 if c > 0 else 0
+        return c >= 2
 
     def reset(self) -> None:
         self.counters.clear()
@@ -119,19 +126,20 @@ class AvxUnit:
     decay_start_ns: float = DEFAULT_DECAY_START_NS
     decay_end_ns: float = DEFAULT_DECAY_END_NS
 
-    def penalty(self, idle_ns: float) -> int:
-        return avx_penalty(idle_ns, self.decay_start_ns, self.decay_end_ns,
-                           self.max_penalty_cycles)
-
-    def cost(self, now_ns: float) -> int:
-        """Cycles a 256-bit operation at ``now_ns`` would take."""
-        if self.last_use_ns is None:
-            return self.warm_cycles + self.max_penalty_cycles
-        return self.warm_cycles + self.penalty(now_ns - self.last_use_ns)
-
     def execute_op(self, now_ns: float) -> int:
-        """Run one 256-bit operation; returns its cost and powers the unit up."""
-        cost = self.cost(now_ns)
+        """Run one 256-bit operation; returns its cost, ``warm_cycles`` plus
+        ``avx_penalty`` of the idle time (maximal if never used), and
+        powers the unit up."""
+        last = self.last_use_ns
+        idle = math.inf if last is None else now_ns - last
+        if 0 <= idle < self.decay_start_ns:
+            cost = self.warm_cycles
+        elif idle >= self.decay_end_ns and idle >= 0:
+            cost = self.warm_cycles + self.max_penalty_cycles
+        else:                   # on the ramp, or negative (avx_penalty raises)
+            cost = self.warm_cycles + avx_penalty(
+                idle, self.decay_start_ns, self.decay_end_ns,
+                self.max_penalty_cycles)
         self.last_use_ns = now_ns
         return cost
 
@@ -185,16 +193,12 @@ class MicroarchState:
         the accessed bit is set.  Out-of-bounds ``x`` only has an effect
         under taken-prediction with the speculation barrier disabled.
         """
-        taken = self.predictor.predict(SITE_LEAK_CACHE)
         in_bounds = secrets.in_bounds(x)
-        if in_bounds:
-            if secrets.bit(x):
+        taken = self.predictor.resolve(SITE_LEAK_CACHE, in_bounds)
+        if (in_bounds or taken and not barrier) and secrets.bit(x):
+            self.cache.flag_cached = True
+            if in_bounds:
                 self.cache.flag_value = True
-                self.cache.flag_cached = True
-        elif taken and not barrier:
-            if secrets.bit(x):
-                self.cache.flag_cached = True
-        self.predictor.train(SITE_LEAK_CACHE, in_bounds)
         # bounds check and bit access are folded into the fixed handler cost
         return 0
 
@@ -204,17 +208,11 @@ class MicroarchState:
         256-bit operation.  Returns the cycles the 256-bit op consumed
         (0 when it did not run).
         """
-        taken = self.predictor.predict(SITE_LEAK_AVX)
         in_bounds = secrets.in_bounds(x)
-        cost = 0
-        if in_bounds:
-            if secrets.bit(x):
-                cost = self.avx.execute_op(self.clock.now)
-        elif taken and not barrier:
-            if secrets.bit(x):
-                cost = self.avx.execute_op(self.clock.now)
-        self.predictor.train(SITE_LEAK_AVX, in_bounds)
-        return cost
+        taken = self.predictor.resolve(SITE_LEAK_AVX, in_bounds)
+        if (in_bounds or taken and not barrier) and secrets.bit(x):
+            return self.avx.execute_op(self.clock.now)
+        return 0
 
     def transmit_gadget_cache(self) -> int:
         """Access the transmit variable; the access itself re-caches it."""
@@ -248,13 +246,10 @@ class MicroarchState:
         under taken-prediction without barrier, caches the single valid
         offset iff the range covers it.
         """
-        taken = self.predictor.predict(SITE_ASLR)
-        if hi <= lo:
-            self.predictor.train(SITE_ASLR, True)
-            return
-        if taken and not barrier and lo <= valid_offset < hi:
+        # a range that covers the offset is non-empty, so not training
+        if (self.predictor.resolve(SITE_ASLR, hi <= lo) and not barrier
+                and lo <= valid_offset < hi):
             self.cache.aslr_cached_offset = valid_offset
-        self.predictor.train(SITE_ASLR, False)
 
     def timing_function(self, valid_offset: int) -> int:
         """Fixed-address function whose runtime reveals whether the valid
@@ -268,11 +263,9 @@ class MicroarchState:
     def value_threshold_gadget(self, guess: int, secret_value: int,
                                barrier: bool = False) -> None:
         """``if (guess < secret) <touch transmit variable>`` under speculation."""
-        taken = self.predictor.predict(SITE_VALUE)
         truth = guess < secret_value
-        if taken and not barrier and truth:
+        if self.predictor.resolve(SITE_VALUE, truth) and not barrier and truth:
             self.cache.flag_cached = True
-        self.predictor.train(SITE_VALUE, truth)
 
     # -- housekeeping ----------------------------------------------------
 

@@ -25,8 +25,7 @@ from .uarch import ClockError, MicroarchState, SecretStore
 from .wire import (OP_ADVANCE_CLOCK, OP_ASLR_PROBE, OP_DOWNLOAD, OP_LEAK_AVX,
                    OP_LEAK_CACHE, OP_RESET, OP_TIMING_FN, OP_TRANSMIT_AVX,
                    OP_TRANSMIT_CACHE, OP_VALUE_CMP, STATUS_BAD_ARG,
-                   STATUS_BAD_OPCODE, STATUS_OK, LatencyModel, RequestPacket,
-                   ResponsePacket)
+                   STATUS_BAD_OPCODE, STATUS_OK, LatencyModel, ResponsePacket)
 
 DEFAULT_HANDLER_CYCLES = 1000   # fixed per-request work surrounding a gadget
 DEFAULT_PER_REQUEST_NS = 1000.0  # virtual-clock advance per request
@@ -123,23 +122,23 @@ class Victim:
 
     # -- request handling ------------------------------------------------
 
-    def handle_request(self, packet: RequestPacket) -> tuple[ResponsePacket, float]:
-        """Process one request; returns the response and the server-side
-        cycles it consumed (mitigation noise included)."""
+    def handle_request(self, packet: tuple) -> tuple[ResponsePacket, float]:
+        """Process one (opcode, arg, nonce) request, or its RequestPacket;
+        returns the response and the server-side cycles it consumed
+        (mitigation noise included)."""
+        opcode, arg, nonce = packet
         cfg = self.config
-        self.counters[packet.opcode] += 1
-        status, payload, cycles = self._dispatch(packet.opcode, packet.arg,
-                                                 self.rng)
+        self.counters[opcode] += 1
+        status, payload, cycles = self._dispatch(opcode, arg, self.rng)
         if cfg.mitigation_noise_sigma_ns > 0:
             extra_ns = cfg.mitigation_noise_sigma_ns * self.rng.standard_normal()
             cycles = max(0.0, cycles + extra_ns / cfg.cycle_time_ns)
 
         if self._log is not None:
-            self._log.write(f"{packet.opcode:#04x} {packet.arg} {cycles:.3f}\n")
+            self._log.write(f"{opcode:#04x} {arg} {cycles:.3f}\n")
 
         # ResponsePacket(status, nonce, payload) without its generated __new__
-        return tuple.__new__(ResponsePacket,
-                             (status, packet.nonce, payload)), cycles
+        return tuple.__new__(ResponsePacket, (status, nonce, payload)), cycles
 
     def _dispatch(self, op: int, arg, rng) -> tuple[int, int, float]:
         """Advance the clock by one request and run its gadget; returns

@@ -152,6 +152,8 @@ class RequestTimeout(WireError):
 
 
 class RequestPacket(NamedTuple):
+    """The named form of a request's (opcode, arg, nonce) triple."""
+
     opcode: int
     arg: int = 0
     nonce: int = 0
@@ -169,12 +171,14 @@ class ResponsePacket(NamedTuple):
         return encode_response(self)
 
 
-def encode_request(packet: RequestPacket) -> bytes:
-    if packet.opcode not in VALID_OPCODES:
-        raise CodecError(f"unknown opcode {packet.opcode:#04x}", packet.nonce)
-    if not 0 <= packet.arg <= _U64_MASK or not 0 <= packet.nonce <= _U64_MASK:
-        raise CodecError("arg/nonce out of 64-bit range", packet.nonce)
-    return _FRAME.pack(packet.opcode, packet.arg, packet.nonce)
+def encode_request(packet: tuple) -> bytes:
+    """The frame of an (opcode, arg, nonce) triple or ``RequestPacket``."""
+    opcode, arg, nonce = packet
+    if opcode not in VALID_OPCODES:
+        raise CodecError(f"unknown opcode {opcode:#04x}", nonce)
+    if not 0 <= arg <= _U64_MASK or not 0 <= nonce <= _U64_MASK:
+        raise CodecError("arg/nonce out of 64-bit range", nonce)
+    return _FRAME.pack(opcode, arg, nonce)
 
 
 def decode_request(data: bytes) -> RequestPacket:
@@ -301,7 +305,10 @@ class LatencyModel:
         it is a float64 array of that length.  The noise is drawn one CHUNK
         at a time, which keeps the draws of one ``noise(rng, size)`` call."""
         if size is None:
-            rtt = 2.0 * self.base_ns + server_ns + self.noise(rng)
+            s = self.sigma_ns       # noise(rng), Gaussian drawn without its frame
+            noise = (s * rng.standard_normal()
+                     if s and self.distribution == "gaussian" else self.noise(rng))
+            rtt = 2.0 * self.base_ns + server_ns + noise
             return 0.0 if rtt < 0.0 else rtt       # max(rtt, 0.0), cheaper
         out = (server_ns if isinstance(server_ns, np.ndarray)
                else np.full(size, float(server_ns)))
@@ -399,7 +406,7 @@ class LoopbackTransport:
             self._draws.settle()
         return self._rng
 
-    def request(self, packet: RequestPacket) -> tuple[ResponsePacket, float]:
+    def request(self, packet: tuple) -> tuple[ResponsePacket, float]:
         victim = self.victim
         response, server_cycles = victim.handle_request(packet)
         return response, self.latency.rtt(
@@ -423,8 +430,9 @@ class UDPTransport:
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self.sock.settimeout(timeout_s)
 
-    def request(self, packet: RequestPacket) -> tuple[ResponsePacket, float]:
-        payload = packet.encode()
+    def request(self, packet: tuple) -> tuple[ResponsePacket, float]:
+        payload = encode_request(packet)
+        nonce = packet[2]
         start = time.monotonic_ns()
         deadline = start + int(self.timeout_s * 1e9)
         self.sock.sendto(payload, self.addr)
@@ -439,7 +447,7 @@ class UDPTransport:
                 raise RequestTimeout(f"no response from {self.addr}") from None
             elapsed = time.monotonic_ns() - start
             response = decode_response(data)
-            if response.nonce == packet.nonce:
+            if response.nonce == nonce:
                 return response, float(elapsed)
             # stale datagram from an earlier request; keep waiting
 

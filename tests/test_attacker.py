@@ -323,6 +323,18 @@ class TestValueSearch:
                                    calib)
         assert session.total_requests() == 0
 
+    def test_empty_read_raises_before_any_request(self):
+        # no measurements per comparison is refused as every empty read is,
+        # by the plan's validation, before a request is sent
+        session, _ = make_session(sigma_ns=200.0, value_secret=42,
+                                  value_bits=8)
+        calib = calibrate(session, ExtractionPlan(), n=1000, channel="value")
+        sent = session.total_requests()
+        with pytest.raises(ValueError):
+            value_threshold_search(session, 8,
+                                   ExtractionPlan(measurements_per_bit=0), calib)
+        assert session.total_requests() == sent
+
     def test_undecidable_round_raises(self):
         # the threshold sits exactly on the noiseless fast time, so a
         # comparison that runs fast carries no evidence either way

@@ -84,6 +84,16 @@ class TestBranchPredictor:
                 bp.train(7, taken)
             assert bp.predict(7) is _reference_predictor(history)
 
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=40))
+    def test_resolve_is_predict_then_train(self, history):
+        reference, bp = BranchPredictor(), BranchPredictor()
+        for site, taken in history:
+            predicted = reference.predict(site)
+            reference.train(site, taken)
+            assert bp.resolve(site, taken) is predicted
+            assert bp.counters == reference.counters
+
     def test_reset(self):
         bp = BranchPredictor()
         for _ in range(3):
@@ -136,6 +146,30 @@ class TestAvxUnit:
         unit = AvxUnit()
         unit.execute_op(0.0)
         assert unit.execute_op(1_000_000.0) == 576
+
+    def test_cost_is_warm_plus_penalty_of_the_idle_time(self, monkeypatch):
+        # never used, 0, the ramp's start -1/0/+1 ns, its middle, its end
+        # and beyond; avx_penalty is called only on the ramp
+        calls = []
+
+        def counted(idle_ns, *args):
+            calls.append(idle_ns)
+            return avx_penalty(idle_ns, *args)
+        monkeypatch.setattr(uarch, "avx_penalty", counted)
+        now = 2_000_000.0
+        for idle in (None, 0.0, 499_999.0, 500_000.0, 500_001.0, 750_000.0,
+                     1_000_000.0, 1_500_000.0):
+            unit = AvxUnit(last_use_ns=None if idle is None else now - idle)
+            calls.clear()
+            expected = 210 + avx_penalty(math.inf if idle is None else idle)
+            assert unit.execute_op(now) == expected
+            assert unit.last_use_ns == now
+            on_ramp = idle is not None and 500_000.0 <= idle < 1_000_000.0
+            assert calls == ([idle] if on_ramp else [])
+        unit = AvxUnit(last_use_ns=now + 1.0)
+        with pytest.raises(ValueError):
+            unit.execute_op(now)
+        assert unit.last_use_ns == now + 1.0
 
 
 class TestSecretStore:

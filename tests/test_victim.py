@@ -506,3 +506,28 @@ class TestBatchEquivalenceRandomized:
                 == pair.vb.state.cache.aslr_cached_offset)
         assert pair.slow.transport.rng.random() == pair.batch.transport.rng.random()
         pair.assert_state_matches()
+
+
+def test_request_triple_is_its_packet():
+    # a request is an (opcode, arg, nonce) triple; RequestPacket is its named
+    # form, and the victim answers both alike: downloads and mitigation
+    # noise draw from its generator, and an unknown opcode is refused
+    schedule = (wire.leak_schedule("cache", 130, 3, 0, 590_000)
+                + wire.leak_schedule("avx", 130, 3, 0, 1e6)
+                + wire.value_schedule(5, 2, 590_000)
+                + wire.aslr_schedule(0, 1 << 20, 2)
+                + [(wire.OP_TIMING_FN, 0), (wire.OP_RESET, 0), (0x7F, 0)])
+    plain, named = (_victim(seed=4, mitigation_noise_sigma_ns=300.0)
+                    for _ in range(2))
+    for nonce, (op, arg) in enumerate(schedule * 3):
+        response, cycles = plain.handle_request((op, arg, nonce))
+        assert type(response) is wire.ResponsePacket
+        assert (response, cycles) == named.handle_request(
+            RequestPacket(op, arg, nonce))
+    assert plain.counters == named.counters
+    for victim in (plain, named):
+        assert victim.counters[0x7F] == 3
+    a, b = plain.state, named.state
+    assert (a.clock.now, a.predictor.counters, a.cache, a.avx) == (
+        b.clock.now, b.predictor.counters, b.cache, b.avx)
+    assert plain.rng.random() == named.rng.random()

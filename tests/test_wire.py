@@ -67,6 +67,18 @@ class TestCodec:
         assert decode_request(encode_request(packet)) == packet
 
     @given(st.integers(0, 255), u64, u64)
+    def test_triple_encodes_as_its_packet(self, opcode, arg, nonce):
+        # a request is an (opcode, arg, nonce) triple; RequestPacket names it
+        packet = RequestPacket(opcode, arg, nonce)
+        if opcode in wire.VALID_OPCODES:
+            assert encode_request((opcode, arg, nonce)) == encode_request(packet)
+            return
+        for request in ((opcode, arg, nonce), packet):
+            with pytest.raises(CodecError) as info:
+                encode_request(request)
+            assert info.value.nonce == nonce
+
+    @given(st.integers(0, 255), u64, u64)
     def test_response_round_trip(self, status, nonce, payload):
         packet = ResponsePacket(status, nonce, payload)
         assert decode_response(encode_response(packet)) == packet

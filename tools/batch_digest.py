@@ -87,14 +87,16 @@ ATTACK_CAL_N = 1000     # measurements per calibration corner
 
 class CodecTransport:
     """``LoopbackTransport`` with every frame encoded and decoded on the
-    way, so the packets' codec is on the digested path."""
+    way, so the packets' codec is on the digested path.  The request is
+    encoded with ``wire.encode_request``, which takes a ``RequestPacket``
+    or the plain (opcode, arg, nonce) triple it names."""
 
     def __init__(self, victim, latency, rng):
         self.victim, self.latency, self.rng = victim, latency, rng
 
     def request(self, packet):
         response, cycles = self.victim.handle_request(
-            wire.decode_request(packet.encode()))
+            wire.decode_request(wire.encode_request(packet)))
         rtt = self.latency.rtt(cycles * self.victim.config.cycle_time_ns,
                                self.rng)
         return wire.decode_response(response.encode()), rtt
