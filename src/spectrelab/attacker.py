@@ -3,11 +3,13 @@ extraction over the cache and SIMD-power covert channels, address-layout
 derandomization by binary search, and value recovery through speculative
 comparisons.
 
-A Session owns one transport.  On the in-process loopback transport the
-per-measurement loop can run vectorized server-side (identical semantics,
-see Victim.stream), and a read of only a mean and variance can be drawn
-exactly from the victim's moments (Session.moments); over UDP every
-request is a real datagram.
+A Session owns one transport.  Every sampled read is one stream of
+round-trip times, one wire.CHUNK at a time (Session._rtts).  On the
+in-process loopback transport the per-measurement loop can run vectorized
+server-side (identical semantics, see Victim.stream), and a read of only a
+mean and variance can be drawn exactly from the victim's moments
+(Session.moments); per request, the same stream is filled one iteration
+at a time, and over UDP every request is a real datagram.
 """
 
 from __future__ import annotations
@@ -147,36 +149,40 @@ class Session:
     # -- measurement loops -----------------------------------------------
 
     def _rtts(self, schedule: list, n: int, out: Optional[np.ndarray] = None):
-        """The round-trip times of n batched iterations of ``schedule``, one
-        wire.CHUNK at a time: each view of ``Victim.stream(schedule, n,
-        out)`` turned into round trips in place.  The session counts the
-        schedule's requests after the last view."""
-        t = self.transport
-        ct = t.victim.config.cycle_time_ns
-        for view in t.victim.stream(schedule, n, out):
-            view *= ct
-            yield t.latency.rtt(view, t.rng, size=len(view))
-        self.counters.update(wire.schedule_counts(schedule, n))
+        """The round-trip times of n iterations of ``schedule``, each
+        iteration's last request timed, one wire.CHUNK at a time: yields
+        each of ``wire.views(n, out)`` filled.  Batched, a view is a chunk
+        of ``Victim.stream`` turned into round trips in place, and the
+        session counts the schedule's requests after the last view; per
+        request, it is filled one iteration at a time."""
+        if n < 1:
+            raise ValueError("a read needs at least one measurement")
+        if self.batched:
+            t = self.transport
+            ct = t.victim.config.cycle_time_ns
+            for view in t.victim.stream(schedule, n, out):
+                view *= ct
+                yield t.latency.rtt(view, t.rng, size=len(view))
+            self.counters.update(wire.schedule_counts(schedule, n))
+            return
+        *steps, (timed_op, timed_arg) = schedule
+        request, advance = self.request, wire.OP_ADVANCE_CLOCK
+        for view in wire.views(n, out):
+            for i in range(view.shape[0]):
+                for op, arg in steps:
+                    if op == advance:
+                        self._advance_or_wait(arg)
+                    else:
+                        request(op, arg)
+                view[i] = request(timed_op, timed_arg)[1]
+            yield view
 
     def _collect(self, schedule: list, n: int) -> np.ndarray:
         """n iterations of ``schedule``; returns the round-trip time of each
         iteration's last request."""
-        if n < 1:
-            raise ValueError("a read needs at least one measurement")
         out = np.empty(n)
-        if self.batched:
-            for _ in self._rtts(schedule, n, out):
-                pass
-            return out
-        *steps, (timed_op, timed_arg) = schedule
-        request, advance = self.request, wire.OP_ADVANCE_CLOCK
-        for i in range(n):
-            for op, arg in steps:
-                if op == advance:
-                    self._advance_or_wait(arg)
-                else:
-                    request(op, arg)
-            out[i] = request(timed_op, timed_arg)[1]
+        for _ in self._rtts(schedule, n, out):
+            pass
         return out
 
     def collect_bit(self, plan: ExtractionPlan, bit_index: int,
@@ -213,9 +219,7 @@ class Session:
         return wire.corner_schedule(channel, corner, plan.reset_bytes,
                                     plan.avx_wait_ns)
 
-    def moments(self, schedule: list, n: int,
-                collect: Optional[Callable[[int], np.ndarray]] = None
-                ) -> tuple[float, float]:
+    def moments(self, schedule: list, n: int) -> tuple[float, float]:
         """Mean and ddof-1 variance of the timed round trips of n iterations
         of ``schedule``.  Batched, with Gaussian noise, no mitigation noise
         and under 1e-12 chance of a clamp at 0 in the read, they are drawn
@@ -229,42 +233,31 @@ class Session:
             self.counters.update(wire.schedule_counts(schedule, n))
             ct = t.victim.config.cycle_time_ns
             return t.latency.rtt_moments(n, mean * ct, ss * ct * ct, t.rng)
-        return self.sample_moments(schedule, n, collect)
+        return self.sample_moments(schedule, n)
 
-    def sample_moments(self, schedule: list, n: int,
-                       collect: Optional[Callable[[int], np.ndarray]] = None
-                       ) -> tuple[float, float]:
+    def sample_moments(self, schedule: list, n: int) -> tuple[float, float]:
         """Mean and ddof-1 variance of the n timed round trips of
-        ``schedule``, each one drawn.  Batched, each wire.CHUNK of round
-        trips is reduced as it is drawn (``_rtts``), so no n-long array is
-        made; per request, ``collect(n)`` samples the loop, or
-        ``_collect`` when no ``collect`` is given."""
-        if not self.batched:
-            return _sample_moments(
-                collect(n) if collect else self._collect(schedule, n))
+        ``schedule``, each one drawn: each wire.CHUNK of round trips is
+        reduced as it is drawn (``_rtts``), so no n-long array is made."""
         return _moments(self._rtts(schedule, n))
 
 
 def _moments(chunks) -> tuple[float, float]:
     """Mean and ddof-1 variance of the samples in ``chunks``, summed about
-    the first sample for numerical stability; shifts each chunk in place."""
+    the first sample for numerical stability.  The shifted samples go to
+    one scratch chunk, so the chunks are left as they are."""
     n, shift, total, total_sq = 0, None, 0.0, 0.0
     for chunk in chunks:
         if shift is None:
             shift = float(chunk[0])
-        chunk -= shift
-        total += float(chunk.sum())
-        total_sq += float(np.dot(chunk, chunk))
-        n += chunk.shape[0]
+            scratch = np.empty(chunk.shape[0])   # the first is the longest
+        d = np.subtract(chunk, shift, out=scratch[:chunk.shape[0]])
+        total += float(d.sum())
+        total_sq += float(np.dot(d, d))
+        n += d.shape[0]
     mean = total / n
     var = max(0.0, (total_sq - n * mean * mean) / (n - 1)) if n > 1 else 0.0
     return shift + mean, var
-
-
-def _sample_moments(rtts: np.ndarray) -> tuple[float, float]:
-    """``_moments`` of an array, which is left as it is, reduced one
-    wire.CHUNK at a time as a streamed read is."""
-    return _moments(view.copy() for view in wire.chunks(rtts))
 
 
 def loopback_session(cfg: VictimConfig, seed: int) -> Session:
@@ -342,21 +335,21 @@ def leak_bit(session: Session, plan: ExtractionPlan, calib: Calibration,
 
     The bit's confidence is the z of the statistic that decides it: the
     mean's (``mean_z``) or, for the mode rule, the proportion of fast
-    samples (``proportion_z``).  A mean-decided bit that keeps no samples
-    streams them (``Session.sample_moments``) and is never drawn exactly
-    from moments: that redraw read 3 flips at criterion 1's pinned seeds,
-    where the criterion allows 1."""
+    samples (``proportion_z``).  The samples are streamed
+    (``Session._rtts``), into an n-long array only when they are kept or
+    the mode rule needs them, and are never drawn exactly from moments:
+    that redraw read 3 flips at criterion 1's pinned seeds, where the
+    criterion allows 1."""
+    plan.validate()
     threshold, n = calib.threshold_ns, plan.measurements_per_bit
-    if plan.decision == "mean" and not keep_samples:
-        plan.validate()
-        mean, var = session.sample_moments(
-            session.bit_schedule(plan, bit_index), n)
-        return BitRead(bit=1 if mean < threshold else 0,
-                       confidence=mean_z(mean, var, n, threshold))
-    rtts = session.collect_bit(plan, bit_index)
-    z = (proportion_z(rtts, threshold) if plan.decision == "mode"
-         else mean_z(*_sample_moments(rtts), n, threshold))
-    return BitRead(bit=decide(rtts, plan, calib), confidence=z,
+    rtts = np.empty(n) if keep_samples or plan.decision == "mode" else None
+    mean, var = _moments(
+        session._rtts(session.bit_schedule(plan, bit_index), n, rtts))
+    if plan.decision == "mode":
+        bit, z = decide(rtts, plan, calib), proportion_z(rtts, threshold)
+    else:
+        bit, z = int(mean < threshold), mean_z(mean, var, n, threshold)
+    return BitRead(bit=bit, confidence=z,
                    rtts_ns=rtts if keep_samples else None)
 
 

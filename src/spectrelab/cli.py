@@ -89,22 +89,25 @@ def cmd_victim(args) -> int:
 
 def cmd_leak(args) -> int:
     cfg = _make_victim_config(args)
-    seed = _resolve_seed(args.seed)
-    session, victim = _open_target(args, cfg, seed)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-
+    # every flag is checked before a UDP target is contacted
     if args.start_bit is not None:
         start = args.start_bit
-    elif victim is not None:
-        start = victim.config.secrets.bitstream_length
+    elif args.target == "loopback":
+        start = cfg.secrets.bitstream_length
     else:
         print("error: --start-bit is required for UDP targets",
               file=sys.stderr)
         return EXIT_CONFIG
+    if args.bits < 1:
+        raise ValueError("--bits must be at least 1")
     plan = ExtractionPlan(channel=args.channel,
                           measurements_per_bit=args.n,
                           target_bit_range=(start, start + args.bits))
+    plan.validate()
+    seed = _resolve_seed(args.seed)
+    session, victim = _open_target(args, cfg, seed)
+    out_dir = args.out
+    os.makedirs(out_dir, exist_ok=True)
     calib = attacker.calibrate(session, plan)
 
     def sink(pos: int, rtts: np.ndarray) -> None:

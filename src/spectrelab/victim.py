@@ -239,8 +239,7 @@ class Victim:
 
     def stream(self, schedule: list, n: int, out: Optional[np.ndarray] = None):
         """The timed cycles of n iterations of ``schedule``, one wire.CHUNK
-        at a time: yields the views [0:CHUNK], [CHUNK:2 CHUNK], ... of
-        ``out``, or of one reused buffer that each view overwrites.  The
+        at a time: fills and yields each of ``wire.views(n, out)``.  The
         clock (and the SIMD unit's last use) moves past the batch after
         the last view; mitigation noise is drawn per view, after its
         evictions."""
@@ -249,10 +248,7 @@ class Victim:
         p_evict = self._p_evict(schedule)
         if trials:
             (evict, _), (keep, _) = trials
-        buf = np.empty(min(n, wire.CHUNK)) if out is None else out
-        for i in range(0, n, wire.CHUNK):
-            view = (buf[:min(wire.CHUNK, n - i)] if out is None
-                    else buf[i:i + wire.CHUNK])
+        for i, view in zip(range(0, n, wire.CHUNK), wire.views(n, out)):
             part = head[i:i + view.shape[0]]
             view[:len(part)] = part
             rest = view[len(part):]

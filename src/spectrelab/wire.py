@@ -17,7 +17,7 @@ import struct
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -213,9 +213,12 @@ def decode_response(data: bytes) -> ResponsePacket:
 CHUNK = 1 << 16
 
 
-def chunks(out: np.ndarray):
-    """Consecutive CHUNK-long views of the 1-D array ``out``."""
-    return (out[i:i + CHUNK] for i in range(0, out.shape[0], CHUNK))
+def views(n: int, out: Optional[np.ndarray] = None):
+    """Consecutive CHUNK-long views covering n samples: of the 1-D array
+    ``out``, or of one reused buffer that each view overwrites."""
+    buf = np.empty(min(n, CHUNK)) if out is None else out
+    for i in range(0, n, CHUNK):
+        yield buf[:min(CHUNK, n - i)] if out is None else buf[i:i + CHUNK]
 
 
 # Measured latency standard deviations for the three deployment scenarios.
@@ -312,7 +315,7 @@ class LatencyModel:
             return 0.0 if rtt < 0.0 else rtt       # max(rtt, 0.0), cheaper
         out = (server_ns if isinstance(server_ns, np.ndarray)
                else np.full(size, float(server_ns)))
-        for view in chunks(out):
+        for view in views(out.shape[0], out):
             view += 2.0 * self.base_ns
             view += self.noise(rng, size=view.shape[0])
             np.maximum(view, 0.0, out=view)

@@ -4,6 +4,7 @@ and figure dataset generation."""
 import csv
 import filecmp
 import os
+import socket
 import threading
 
 import numpy as np
@@ -70,10 +71,30 @@ class TestLeakCommand:
                            shallow=False)
 
     def test_udp_target_requires_start_bit(self, tmp_path):
-        # unreachable check fires before start-bit validation
+        # the flags are checked before the target is contacted
         code = run_cli("leak", "127.0.0.1:1", "--n", "10",
                        "--out", str(tmp_path / "x"))
-        assert code == cli.EXIT_UNREACHABLE
+        assert code == cli.EXIT_CONFIG
+
+    def test_missing_start_bit_sends_nothing(self, tmp_path):
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            sock.bind(("127.0.0.1", 0))
+            sock.setblocking(False)
+            port = sock.getsockname()[1]
+            code = run_cli("leak", f"127.0.0.1:{port}", "--n", "10",
+                           "--out", str(tmp_path / "x"))
+            assert code == cli.EXIT_CONFIG
+            with pytest.raises(BlockingIOError):
+                sock.recv(wire.PACKET_LEN)
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("target", ["loopback", "127.0.0.1:1"])
+    def test_zero_bits_is_config_error_before_output(self, tmp_path, target):
+        out = tmp_path / "x"
+        code = run_cli("leak", target, "--bits", "0", "--start-bit", "128",
+                       "--n", "10", "--out", str(out))
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
 
     def test_config_latency_reaches_loopback_victim(self, tmp_path):
         cfg = tmp_path / "far.cfg"

@@ -15,7 +15,8 @@ import pytest
 from scipy.stats import ks_2samp, norm
 
 from spectrelab import uarch, wire
-from spectrelab.attacker import ExtractionPlan, Session, calibrate
+from spectrelab.attacker import (Calibration, ExtractionPlan, Session,
+                                 calibrate, leak_bit)
 from spectrelab.victim import Victim, VictimConfig
 from spectrelab.wire import LatencyModel, LoopbackTransport
 
@@ -60,8 +61,7 @@ def _read(session, name):
 
 
 def _moments(session, name, n):
-    schedule, collect = _read(session, name)
-    return session.moments(schedule, n, collect)
+    return session.moments(_read(session, name)[0], n)
 
 
 def _sample_moments(x):
@@ -267,8 +267,7 @@ class TestStreamedRead:
         schedule, _ = self._read(c, name)
         head, _ = c.transport.victim._settle(schedule, n)
         assert len(head) >= 1
-        schedule, collect = self._read(a, name)
-        got = a.sample_moments(schedule, n, collect)
+        got = a.sample_moments(self._read(a, name)[0], n)
         expected = _sample_moments(self._read(b, name)[1](n))
         if n <= wire.CHUNK:
             assert got == expected
@@ -278,22 +277,61 @@ class TestStreamedRead:
         assert a.transport.rng.random() == b.transport.rng.random()
 
 
+class TestPerRequestChunks:
+    """A per-request read fills one wire.CHUNK-long view at a time; across
+    a chunk boundary it reads what a whole-array read does."""
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 15])
+    def test_equals_the_whole_array_read(self, monkeypatch, n):
+        twin = _session(16, LOCAL, batched=False)
+        array = twin.collect_value(GUESS, n, PLAN)        # n < CHUNK: one view
+        expected = _sample_moments(array)
+        monkeypatch.setattr(wire, "CHUNK", 7)
+        a, b = (_session(16, LOCAL, batched=False) for _ in range(2))
+        got = a.sample_moments(_read(a, "value")[0], n)
+        if n <= 7:
+            assert got == expected
+        else:
+            assert got == pytest.approx(expected, rel=1e-12, abs=0)
+        assert np.array_equal(b.collect_value(GUESS, n, PLAN), array)
+        state = _victim_state(twin), twin.transport.rng.random()
+        for s in (a, b):
+            assert (_victim_state(s), s.transport.rng.random()) == state
+
+    def test_kept_bit_samples_are_the_whole_array(self, monkeypatch):
+        plan = ExtractionPlan(channel="avx", measurements_per_bit=15)
+        twin = _session(17, LOCAL, batched=False)
+        index = twin.transport.victim.config.secrets.secret_bit_index(0)
+        array = twin.collect_bit(plan, index)
+        monkeypatch.setattr(wire, "CHUNK", 7)
+        a = _session(17, LOCAL, batched=False)
+        calib = Calibration(mean_hit_ns=0.0, mean_miss_ns=2.0,
+                            threshold_ns=1.0, sigma_est_ns=1.0)
+        read = leak_bit(a, plan, calib, index, keep_samples=True)
+        assert np.array_equal(read.rtts_ns, array)
+        assert _victim_state(a) == _victim_state(twin)
+        assert a.transport.rng.random() == twin.transport.rng.random()
+
+
 class TestScheduleOnlyRead:
-    """A read given only its schedule reads what the same read given its
-    sample path (``collect``) does, on either path."""
+    """A read given only its schedule reads what its twin's ``collect_*``
+    array reads, on either path.  The batched ``moments`` read is drawn
+    exactly here (three statistics from the transport, not 50 round
+    trips), so only its victim side is compared."""
 
     @pytest.mark.parametrize("batched", [True, False])
     @pytest.mark.parametrize("method", ["moments", "sample_moments"])
     @pytest.mark.parametrize("name", READS)
-    def test_equals_the_read_given_collect(self, name, method, batched):
+    def test_equals_the_collected_array(self, name, method, batched):
         a, b = _session(14, LOCAL, batched), _session(14, LOCAL, batched)
         for s in (a, b):
             _warm_up(s)
-        schedule, _ = _read(a, name)
-        got = getattr(a, method)(schedule, 50)
-        schedule, collect = _read(b, name)
-        assert got == getattr(b, method)(schedule, 50, collect)
+        got = getattr(a, method)(_read(a, name)[0], 50)
+        expected = _sample_moments(_read(b, name)[1](50))
         assert _victim_state(a) == _victim_state(b)
+        if batched and method == "moments":
+            return
+        assert got == expected
         assert a.transport.rng.random() == b.transport.rng.random()
 
 

@@ -30,6 +30,14 @@ request counters, the victim state and the next draw of both generators;
 it leaves the confidences out.  Each channel's calibration comes from a
 noiseless twin victim, so the read under test is the bit leak alone.
 
+For each latency model, mitigation noise 0 / 300 ns, decision rule (mean,
+mode) and n of the batched and the per-request grid, a ``keep`` line
+hashes an 8-bit ``leak_range`` on each channel that hands every bit's
+samples to a ``sample_sink``, as the CLI does: the kept arrays, the bits,
+the confidences and requests, both request counters, the victim state and
+the next draw of both generators.  Calibrations come from a noiseless
+twin, as for the ``leak_range`` lines.
+
 Four ``attack`` lines per latency model hash what the library's attacks
 read one request at a time, at the ``request`` benchmark workload's
 operating point (100 us base, sigma 20 ns) and noiseless: the four
@@ -163,6 +171,27 @@ def run_leak(latency, noise_ns, barrier, index, n) -> str:
     return h.hexdigest()[:16]
 
 
+def run_keep(latency, noise_ns, path, decision, n) -> str:
+    session = _session(latency, noise_ns, False, path)
+    start = SECRETS.secret_bit_index(0)
+    h = hashlib.sha256()
+    for channel in ("cache", "avx"):
+        plan = ExtractionPlan(channel=channel, measurements_per_bit=n,
+                              decision=decision,
+                              target_bit_range=(start, start + 8))
+        twin = _session(LatencyModel.noiseless(latency.base_ns), 0.0, False,
+                        "batched")
+        result = leak_range(session, plan, calibrate(twin, plan, n=1),
+                            sample_sink=lambda pos, rtts: h.update(
+                                repr(pos).encode() + rtts.tobytes()))
+        h.update(repr((result.bits, result.confidences,
+                       result.requests_total)).encode())
+    h.update(repr(_victim_side(session) + (
+        session.transport.victim.rng.random(),
+        session.transport.rng.random())).encode())
+    return h.hexdigest()[:16]
+
+
 def run_attack(latency, attack) -> str:
     """One attack as the library runs it, on the per-request path: its
     result, both request counters, the victim state and both next draws."""
@@ -209,7 +238,7 @@ def run_victim(latency, barrier, index, n, moments) -> str:
               for lo, hi in ((0, 2048), (512, 1024), (777, 778))]
     for schedule, collect in reads:
         if moments:
-            session.moments(schedule, n, collect)
+            session.moments(schedule, n)
         else:
             collect(n)
     fields = _victim_side(session) + (session.transport.victim.rng.random(),)
@@ -232,6 +261,13 @@ def main() -> None:
                               TRAINING_INDEX[warmth], n)
             print(f"leak_range {name} noise={noise_ns:g} barrier={int(barrier)} "
                   f"index={warmth} n={n} {digest}", flush=True)
+    for (name, latency), noise_ns, decision, path in itertools.product(
+            LATENCIES.items(), (0.0, 300.0), ("mean", "mode"),
+            ("batched", "per-request")):
+        for n in SIZES[path]:
+            digest = run_keep(latency, noise_ns, path, decision, n)
+            print(f"keep {path} {name} noise={noise_ns:g} decision={decision} "
+                  f"n={n} {digest}", flush=True)
     for (name, latency), attack in itertools.product(ATTACK_LATENCIES.items(),
                                                      ATTACKS):
         print(f"attack per-request {name} {attack} {run_attack(latency, attack)}",
