@@ -4,7 +4,7 @@ and regenerate the standard experiment datasets.
 Exit codes are a stable scripting contract:
     0  success
     2  configuration error (bad flags, bad config file)
-    3  target unreachable
+    3  target unreachable, or it sent a reply the protocol does not allow
     4  extraction finished with low confidence or failed calibration
 
 Seeds come from --seed or the NETSPECTRE_LAB_SEED environment variable;
@@ -23,7 +23,7 @@ import numpy as np
 from . import attacker, config as config_mod, figures, stats, wire
 from .attacker import CalibrationError, ExtractionError, ExtractionPlan, Session
 from .victim import ConfigError, Victim, VictimConfig
-from .wire import LatencyModel, RequestTimeout, UDPTransport
+from .wire import LatencyModel, UDPTransport, WireError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -251,7 +251,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (RequestTimeout, ConnectionError, OSError) as err:
+    except (WireError, ConnectionError, OSError) as err:
         print(f"target unreachable: {err}", file=sys.stderr)
         return EXIT_UNREACHABLE
     except (CalibrationError, ExtractionError) as err:

@@ -150,6 +150,9 @@ def dump_config(cfg: VictimConfig) -> str:
     ]
     for key in _TIMING_KEYS:
         lines.append(f"{key} = {getattr(cfg, key)}")
+    lat = cfg.latency       # named only if loading the name gives it back
+    named = lat.name in (*PRESET_SIGMAS_NS, "noiseless") and lat == (
+        LatencyModel.preset(lat.name, lat.base_ns, lat.distribution))
     lines += [
         "",
         "[mitigation]",
@@ -157,9 +160,10 @@ def dump_config(cfg: VictimConfig) -> str:
         f"noise_sigma_ns = {cfg.mitigation_noise_sigma_ns}",
         "",
         "[latency]",
-        f"base_ns = {cfg.latency.base_ns}",
-        f"sigma_ns = {cfg.latency.sigma_ns}",
-        f"distribution = {cfg.latency.distribution}",
+        *([f"preset = {lat.name}"] if named else []),
+        f"base_ns = {lat.base_ns}",
+        f"sigma_ns = {lat.sigma_ns}",
+        f"distribution = {lat.distribution}",
         "",
     ]
     return "\n".join(lines)

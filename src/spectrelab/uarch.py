@@ -229,8 +229,6 @@ class MicroarchState:
         probability 1 - exp(-bytes/lambda).  Always consumes exactly one
         uniform draw so seeded runs stay aligned.
         """
-        if bytes_transferred < 0:
-            raise ValueError("negative transfer size")
         p = thrash_probability(bytes_transferred, lam)
         evicted = rng.random() < p
         if evicted:

@@ -274,9 +274,12 @@ class Victim:
         same state, counters and draws, never the n-long array."""
         head, trials = self._settle(schedule, n)
         groups = [(c, 1) for c in head]        # (timed cycles, iterations)
-        if trials:
-            k = n - len(head)
-            e = self._fast_forward(schedule, k, trials)
+        if trials:               # one eviction draw per remaining iteration
+            k, e, p_evict = n - len(head), 0, self._p_evict(schedule)
+            if p_evict is not None:
+                for view in wire.views(k):
+                    e += int(np.count_nonzero(self.rng.random(out=view) < p_evict))
+            self._pass_time(schedule, k, trials)
             groups += [(trials[0][0], e), (trials[1][0], k - e)]
         # summed about a timed value, so a constant batch reads exactly
         c0 = next(c for c, m in groups if m)
@@ -317,9 +320,9 @@ class Victim:
         uniform, and that iteration runs as the evict trial does."""
         rng, p_evict = self.rng, self._p_evict(schedule)
         keeps = k
-        for i in range(0, k, wire.CHUNK):
+        for i, view in zip(range(0, k, wire.CHUNK), wire.views(k)):
             state = rng.bit_generator.state
-            evicted = np.flatnonzero(rng.random(min(wire.CHUNK, k - i)) < p_evict)
+            evicted = np.flatnonzero(rng.random(out=view) < p_evict)
             if evicted.size:
                 rng.bit_generator.state = state
                 rng.random(int(evicted[0]) + 1)
@@ -336,19 +339,6 @@ class Victim:
         for op, arg in schedule:
             cycles = self._dispatch(op, arg, rng)[2]
         return cycles
-
-    def _fast_forward(self, schedule: list, k: int, trials: list) -> int:
-        """The remaining k iterations of a settled batch, counted: one
-        eviction draw each; returns the evictions."""
-        p_evict = self._p_evict(schedule)
-        evictions = 0
-        if p_evict is not None:
-            buf = np.empty(min(k, wire.CHUNK))
-            for i in range(0, k, wire.CHUNK):
-                view = self.rng.random(out=buf[:k - i])
-                evictions += int(np.count_nonzero(view < p_evict))
-        self._pass_time(schedule, k, trials)
-        return evictions
 
     def _p_evict(self, schedule: list) -> Optional[float]:
         """The eviction chance of the schedule's download, if it has one."""

@@ -278,7 +278,12 @@ class LatencyModel:
         raw_var = (math.exp(s * s) - 1.0) * math.exp(s * s)
         scale = self.sigma_ns / raw_var ** 0.5
         mean = math.exp(s * s / 2.0)
-        return scale * (rng.lognormal(0.0, s, size=size) - mean)
+        # numpy draws a lognormal as exp(0 + s z) of one standard normal,
+        # and so does the scalar branch; the vector branch must not take
+        # np.exp, whose SIMD loop differs from it in the last bit
+        raw = (math.exp(s * rng.standard_normal()) if size is None
+               else rng.lognormal(0.0, s, size=size))
+        return scale * (raw - mean)
 
     def clamp_probability(self) -> float:
         """A bound on the chance that ``rtt`` clamps a round trip at 0."""
@@ -329,60 +334,32 @@ class LatencyModel:
 # Scalar draws per block of BlockDraws.
 BLOCK = 1024
 
-_NORMAL = ("standard_normal",)
-
 
 class BlockDraws:
-    """A generator's scalar ``standard_normal()`` and ``lognormal(mean,
-    sigma)`` draws, served from blocks of BLOCK drawn at once.  A vector
-    draw yields the values of as many scalar draws, at a fraction of
-    numpy's cost per call; ``settle`` puts the generator where the scalar
-    draws served so far would have left it.  A call with a size settles
-    and delegates."""
+    """A generator's scalar ``standard_normal()`` draws, served from blocks
+    of BLOCK drawn at once: a vector draw yields the values of as many
+    scalar draws, at a fraction of numpy's cost per call.  ``settle`` puts
+    the generator where the draws served so far would have left it."""
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
-        self._key = None     # (method, *args) of the block being served
-        self._block = []     # its values not yet served, the next one last
+        self._block = []     # a block's values not yet served, the next one last
         self._state = None   # the bit generator's state before the block
 
-    def standard_normal(self, size=None):
-        if size is None and self._key is _NORMAL:
-            try:
-                return self._block.pop()
-            except IndexError:
-                pass
-        return self._draw(_NORMAL, size)
-
-    def lognormal(self, mean=0.0, sigma=1.0, size=None):
-        key = ("lognormal", mean, sigma)
-        if size is None and self._key == key:
-            try:
-                return self._block.pop()
-            except IndexError:
-                pass
-        return self._draw(key, size)
-
-    def _draw(self, key: tuple, size):
-        self.settle()
-        method, *args = key
-        draw = getattr(self.rng, method)
-        if size is not None:
-            return draw(*args, size=size)
-        self._state = self.rng.bit_generator.state
-        block = draw(*args, size=BLOCK).tolist()
-        block.reverse()
-        self._key, self._block = key, block
-        return block.pop()
+    def standard_normal(self) -> float:
+        if not self._block:  # served to its end: the generator is past it
+            self._state = self.rng.bit_generator.state
+            self._block = self.rng.standard_normal(BLOCK).tolist()
+            self._block.reverse()
+        return self._block.pop()
 
     def settle(self) -> None:
         """Rewind the generator to before the current block and redraw the
         values served from it; a block served to its end needs neither."""
         if self._block:
-            method, *args = self._key
             self.rng.bit_generator.state = self._state
-            getattr(self.rng, method)(*args, size=BLOCK - len(self._block))
-        self._key, self._block, self._state = None, [], None
+            self.rng.standard_normal(BLOCK - len(self._block))
+            self._block = []
 
 
 class LoopbackTransport:
@@ -449,7 +426,10 @@ class UDPTransport:
             except socket.timeout:
                 raise RequestTimeout(f"no response from {self.addr}") from None
             elapsed = time.monotonic_ns() - start
-            response = decode_response(data)
+            try:
+                response = decode_response(data)
+            except CodecError:      # not a response frame; keep waiting
+                continue
             if response.nonce == nonce:
                 return response, float(elapsed)
             # stale datagram from an earlier request; keep waiting

@@ -96,6 +96,36 @@ class TestLeakCommand:
         assert code == cli.EXIT_CONFIG
         assert not out.exists()
 
+    def test_bad_status_target_is_unreachable(self, tmp_path):
+        # a target that answers every request with STATUS_BAD_OPCODE: the
+        # AVX calibration's clock advance fails with a WireError
+        stop = threading.Event()
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            sock.bind(("127.0.0.1", 0))
+            sock.settimeout(0.1)
+
+            def answer():
+                while not stop.is_set():
+                    try:
+                        data, addr = sock.recvfrom(2048)
+                    except socket.timeout:
+                        continue
+                    nonce = wire.decode_request(data).nonce
+                    sock.sendto(wire.ResponsePacket(wire.STATUS_BAD_OPCODE,
+                                                    nonce).encode(), addr)
+
+            thread = threading.Thread(target=answer, daemon=True)
+            thread.start()
+            try:
+                code = run_cli("leak", f"127.0.0.1:{sock.getsockname()[1]}",
+                               "--channel", "avx", "--start-bit", "128",
+                               "--n", "10", "--bits", "1",
+                               "--out", str(tmp_path / "x"))
+            finally:
+                stop.set()
+                thread.join(5.0)
+        assert code == cli.EXIT_UNREACHABLE
+
     def test_config_latency_reaches_loopback_victim(self, tmp_path):
         cfg = tmp_path / "far.cfg"
         cfg.write_text("[latency]\npreset = noiseless\nbase_ns = 100000\n")

@@ -4,6 +4,7 @@ import pytest
 
 from spectrelab.config import dump_config, load_config
 from spectrelab.victim import ConfigError, VictimConfig
+from spectrelab.wire import LatencyModel
 
 
 def write(tmp_path, text):
@@ -25,6 +26,16 @@ class TestLoadConfig:
         assert back.mitigation_noise_sigma_ns == 50.0
         assert back.secrets.bitstream == cfg.secrets.bitstream
         assert back.secrets.bitstream_length == cfg.secrets.bitstream_length
+
+    @pytest.mark.parametrize("latency", [
+        LatencyModel.preset("local"),
+        LatencyModel.preset("cloud", base_ns=50_000.0, distribution="lognormal"),
+        LatencyModel.noiseless(100_000.0),
+        LatencyModel(sigma_ns=1234.5, name="custom"),
+    ], ids=["local", "cloud-lognormal", "noiseless", "custom"])
+    def test_latency_round_trip_keeps_the_name(self, tmp_path, latency):
+        path = write(tmp_path, dump_config(VictimConfig(latency=latency)))
+        assert load_config(path).latency == latency
 
     def test_text_secret(self, tmp_path):
         path = write(tmp_path, "[victim]\nsecret = hi\npublic_zero_bytes = 4\n")

@@ -1,6 +1,7 @@
 """Codec, latency model, and transport tests."""
 
 import math
+import socket
 import struct
 
 import numpy as np
@@ -253,3 +254,22 @@ class TestBlockDraws:
                          transport.victim.rng.random(),
                          transport.rng.random()))
         assert outs[0] == outs[1]
+
+
+class TestUDPTransport:
+    def test_skips_a_datagram_it_cannot_decode(self):
+        # a 5-byte datagram, then the reply: the request returns the reply
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as server:
+            server.bind(("127.0.0.1", 0))
+            transport = wire.UDPTransport(*server.getsockname(), timeout_s=5.0)
+            try:
+                transport.sock.bind(("127.0.0.1", 0))
+                client = transport.sock.getsockname()
+                reply = ResponsePacket(wire.STATUS_OK, 42, 7)
+                server.sendto(b"\x00" * 5, client)
+                server.sendto(reply.encode(), client)
+                response, rtt = transport.request((wire.OP_RESET, 0, 42))
+                assert response == reply and rtt > 0
+                assert decode_request(server.recv(64)) == (wire.OP_RESET, 0, 42)
+            finally:
+                transport.close()

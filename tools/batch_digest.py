@@ -46,6 +46,14 @@ requests), a 6-bit ``break_aslr`` that calibrates itself and an 8-bit
 ``value_threshold_search``, each with both request counters, the victim
 state and the next draw of both generators.
 
+Eight ``mixed`` lines, one per latency model with a transport generator
+either separate from the victim's or shared with it, guard the settle of
+the loopback's blocks of noise draws on a batched session: 1,500 raw
+requests through ``Session.request`` (one ``wire.BLOCK`` plus 476), then a
+batched ``collect_bit`` at n = 5,000 and a ``moments`` read at n = 70,000.
+Each hashes the raw round trips, the array, the moments, both request
+counters, the victim state and the next draw of both generators.
+
 Then, for each batched configuration that ``Session.moments`` draws
 exactly (Gaussian or noiseless, no mitigation noise), two ``victim`` lines
 hash only the victim side (both request counters, the clock, the
@@ -91,6 +99,7 @@ ATTACK_LATENCIES = {"request": LatencyModel(base_ns=100_000.0, sigma_ns=20.0),
 ATTACKS = ("calibrate", "leak_range", "break_aslr", "value_threshold_search")
 ATTACK_N = 100          # measurements per bit, layout check and comparison
 ATTACK_CAL_N = 1000     # measurements per calibration corner
+MIXED_REQUESTS = wire.BLOCK + 476     # raw requests before the batched reads
 
 
 class CodecTransport:
@@ -221,6 +230,25 @@ def run_attack(latency, attack) -> str:
     return hashlib.sha256(repr(fields).encode()).hexdigest()[:16]
 
 
+def run_mixed(latency, shared) -> str:
+    """Raw requests, then a batched bit read and a batched moments read,
+    on one session whose transport generator is the victim's if
+    ``shared``."""
+    session = _session(latency, 0.0, False, "batched")
+    victim = session.transport.victim
+    if shared:
+        session = Session(LoopbackTransport(victim, latency, victim.rng))
+    plan = ExtractionPlan()
+    bit = SECRETS.secret_bit_index(0)
+    schedule = session.bit_schedule(plan, bit)
+    raw = [session.request(op, arg)[1] for op, arg in itertools.islice(
+        itertools.cycle(schedule), MIXED_REQUESTS)]
+    fields = (raw, session.collect_bit(plan, bit, 5000).tolist(),
+              session.moments(schedule, 70_000)) + _victim_side(session) + (
+        victim.rng.random(), session.transport.rng.random())
+    return hashlib.sha256(repr(fields).encode()).hexdigest()[:16]
+
+
 def run_victim(latency, barrier, index, n, moments) -> str:
     """The victim side after the reads ``Session.moments`` serves, read as
     moments or as samples."""
@@ -272,6 +300,11 @@ def main() -> None:
                                                      ATTACKS):
         print(f"attack per-request {name} {attack} {run_attack(latency, attack)}",
               flush=True)
+    for (name, latency), shared in itertools.product(LATENCIES.items(),
+                                                     (False, True)):
+        print(f"mixed batched {name} generator="
+              f"{'shared' if shared else 'separate'} "
+              f"{run_mixed(latency, shared)}", flush=True)
     for path, name, barrier, warmth in itertools.product(
             ("samples", "moments"), ("gaussian", "noiseless"), (False, True),
             TRAINING_INDEX):
