@@ -196,38 +196,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_victim)
 
-    p = sub.add_parser("leak", help="calibrate and extract secret bits")
-    p.add_argument("target", help="'loopback' or host[:port]")
+    def attack_parser(name: str, summary: str) -> argparse.ArgumentParser:
+        """A subcommand with the flags every attack takes."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("target", help="'loopback' or host[:port]")
+        p.add_argument("--preset", choices=wire.PRESETS,
+                       help="latency preset (default: the --config file's "
+                            "[latency] section, else local)")
+        p.add_argument("--config", help="victim config file (loopback only)")
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--seed", type=int)
+        return p
+
+    p = attack_parser("leak", "calibrate and extract secret bits")
     p.add_argument("--channel", choices=("cache", "avx"), default="cache")
     p.add_argument("--bits", type=int, default=8)
     p.add_argument("--n", type=int, default=1_000_000,
                    help="measurements per bit")
-    p.add_argument("--preset",
-                   choices=("local", "cloud", "arm", "noiseless"),
-                   help="latency preset (default: the --config file's "
-                        "[latency] section, else local)")
     p.add_argument("--start-bit", type=int,
                    help="first bit index to leak (defaults to the loopback "
                         "victim's first out-of-bounds bit)")
-    p.add_argument("--config", help="victim config file (loopback only)")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_leak)
 
-    p = sub.add_parser("aslr", help="derandomize the layout offset")
-    p.add_argument("target", help="'loopback' or host[:port]")
+    p = attack_parser("aslr", "derandomize the layout offset")
     p.add_argument("--space-bits", type=int, default=20)
     p.add_argument("--offset", type=int, default=0,
                    help="planted offset (loopback only)")
     p.add_argument("--n", type=int, default=1_000_000,
                    help="probes per half-range check")
-    p.add_argument("--preset",
-                   choices=("local", "cloud", "arm", "noiseless"),
-                   help="latency preset (default: the --config file's "
-                        "[latency] section, else local)")
-    p.add_argument("--config", help="victim config file (loopback only)")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_aslr)
 
     p = sub.add_parser("figures", help="regenerate experiment CSV datasets")

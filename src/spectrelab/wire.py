@@ -227,6 +227,7 @@ PRESET_SIGMAS_NS = {
     "cloud": 52_300.0,
     "arm": 128_500.0,
 }
+PRESETS = (*PRESET_SIGMAS_NS, "noiseless")   # every LatencyModel.preset name
 
 
 @dataclass
@@ -252,14 +253,10 @@ class LatencyModel:
     @classmethod
     def preset(cls, name: str, base_ns: float = 10_000.0,
                distribution: str = "gaussian") -> "LatencyModel":
-        if name == "noiseless":
-            return cls.noiseless(base_ns)
-        try:
-            sigma = PRESET_SIGMAS_NS[name]
-        except KeyError:
-            raise ValueError(f"unknown preset {name!r}") from None
-        return cls(base_ns=base_ns, sigma_ns=sigma, name=name,
-                   distribution=distribution)
+        if name not in PRESETS:
+            raise ValueError(f"unknown preset {name!r}")
+        return cls(base_ns=base_ns, sigma_ns=PRESET_SIGMAS_NS.get(name, 0.0),
+                   name=name, distribution=distribution)
 
     @classmethod
     def noiseless(cls, base_ns: float = 10_000.0) -> "LatencyModel":

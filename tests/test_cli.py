@@ -1,6 +1,7 @@
 """CLI contract tests: subcommands, exit codes, seeded reproducibility,
 and figure dataset generation."""
 
+import argparse
 import csv
 import filecmp
 import os
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from spectrelab import cli, figures, wire
+from spectrelab.config import load_config
 from spectrelab.victim import Victim, VictimConfig
 
 
@@ -288,3 +290,32 @@ class TestVictimCommandPlumbing:
         finally:
             shutdown.set()
             thread.join(5.0)
+
+
+class TestAttackFlags:
+    def test_preset_choices_are_the_wire_presets(self, tmp_path):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for command in ("leak", "aslr"):
+            preset = next(a for a in sub.choices[command]._actions
+                          if a.dest == "preset")
+            assert tuple(preset.choices) == wire.PRESETS
+        for name in wire.PRESETS:
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(f"[latency]\npreset = {name}\n")
+            latency = load_config(str(path)).latency
+            assert latency == wire.LatencyModel.preset(name)
+
+    @pytest.mark.parametrize("text", [
+        "[victim]\npublic_zero_bytes = -3\n",
+        "[victim]\nsecret =\n",
+        "[latency]\nbase_ns = -5\n",
+    ], ids=["negative-public-zeros", "empty-secret", "negative-base"])
+    def test_bad_config_input_exits_2(self, tmp_path, text):
+        path = tmp_path / "victim.cfg"
+        path.write_text(text)
+        code = run_cli("leak", "loopback", "--config", str(path), "--n", "1000",
+                       "--bits", "1", "--out", str(tmp_path / "o"))
+        assert code == cli.EXIT_CONFIG
+        assert not (tmp_path / "o").exists()

@@ -80,3 +80,29 @@ class TestLoadConfig:
         path = write(tmp_path, "[latency]\npreset = warp\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+class TestOneOwnerPerInput:
+    @pytest.mark.parametrize("text", [
+        "[victim]\npublic_zero_bytes = -3\n",
+        "[victim]\nsecret =\n",
+        "[victim]\nsecret_hex =\n",
+        "[latency]\nbase_ns = -5\n",
+    ], ids=["negative-public-zeros", "empty-secret", "empty-secret-hex",
+            "negative-base"])
+    def test_bad_input_rejected(self, tmp_path, text):
+        with pytest.raises(ConfigError):
+            load_config(write(tmp_path, text))
+
+    def test_noiseless_lognormal_round_trip_keeps_the_name(self, tmp_path):
+        latency = load_config(write(
+            tmp_path, "[latency]\npreset = noiseless\n"
+                      "distribution = lognormal\nbase_ns = 100000\n")).latency
+        path = write(tmp_path, dump_config(VictimConfig(latency=latency)))
+        back = load_config(path).latency
+        assert back == latency
+        assert (back.name, back.distribution) == ("noiseless", "lognormal")
+
+    def test_named_preset_fixes_sigma(self, tmp_path):
+        path = write(tmp_path, "[latency]\npreset = noiseless\nsigma_ns = 500\n")
+        assert load_config(path).latency == LatencyModel.noiseless()
