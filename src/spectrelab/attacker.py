@@ -226,9 +226,7 @@ class Session:
         exactly from the victim's moments (``rtt_moments``); otherwise
         they are read from samples (``sample_moments``)."""
         t = self.transport
-        if (self.batched and t.latency.distribution == "gaussian"
-                and t.victim.config.mitigation_noise_sigma_ns == 0
-                and n * t.latency.clamp_probability() < 1e-12):
+        if self._reducible(n) and t.latency.distribution == "gaussian":
             mean, ss = t.victim.run_moments(schedule, n)
             self.counters.update(wire.schedule_counts(schedule, n))
             ct = t.victim.config.cycle_time_ns
@@ -240,6 +238,51 @@ class Session:
         ``schedule``, each one drawn: each wire.CHUNK of round trips is
         reduced as it is drawn (``_rtts``), so no n-long array is made."""
         return _moments(self._rtts(schedule, n))
+
+    def _reducible(self, n: int) -> bool:
+        """Whether a read of n iterations reduces to its victim's moments
+        or draws: batched, free of mitigation noise and under 1e-12 chance
+        of a clamp at 0."""
+        t = self.transport
+        return (self.batched and t.victim.config.mitigation_noise_sigma_ns == 0
+                and n * t.latency.clamp_probability() < 1e-12)
+
+    def drawn_moments(self, schedule: list, n: int,
+                      out: Optional[np.ndarray] = None) -> tuple[float, float]:
+        """What ``sample_moments`` reads, the round trips written to ``out``
+        if given.  Without ``out`` and where ``_reducible``, it is reduced
+        from the same draws alone, which may change its last bits: a
+        settled round trip is one of two bases, by its eviction draw, plus
+        noise g z, so each chunk's shifted sums follow from z's sum, sum of
+        squares and sum over the evictions, and their count (Chan, Golub &
+        LeVeque 1983)."""
+        if out is not None or not self._reducible(n):
+            return _moments(self._rtts(schedule, n, out))
+        t, lat = self.transport, self.transport.latency
+        ct, base2 = t.victim.config.cycle_time_ns, 2.0 * lat.base_ns
+        gauss = lat.distribution == "gaussian" and lat.sigma_ns > 0
+        g, buf = (lat.sigma_ns if gauss else 1.0), np.empty(min(n, wire.CHUNK))
+        shift, total, total_sq = None, 0.0, 0.0
+        for view, h, evict, keep in t.victim.evictions(schedule, n):
+            z = (t.rng.standard_normal(out=buf[:len(view)]) if gauss
+                 else lat.noise(t.rng, len(view)))   # noise() draws g z
+            d = np.maximum(view[:h] * ct + base2 + g * z[:h], 0.0)  # as _rtts
+            if shift is None:     # the first round trip; the bases keep, evict
+                bases = np.array([0.0, 1.0]) * (evict - keep) + keep
+                bases = bases * ct + base2
+                shift = float(d[0] if h else max(
+                    bases[int(view[0] == 1.0)] + g * z[0], 0.0))
+                a, b = float(bases[1]) - shift, float(bases[0]) - shift
+            d -= shift
+            m, z = view[h:], z[h:]   # e evict, k - e keep: this chunk's sums
+            k, e = len(m), float(m.sum()) if evict != keep else 0.0
+            smz, sz = float(m @ z) if e else 0.0, float(z.sum())
+            total += float(d.sum()) + e * a + (k - e) * b + g * sz
+            total_sq += (float(d @ d) + e * a * a + (k - e) * b * b
+                         + 2.0 * g * (a * smz + b * (sz - smz))
+                         + g * g * float(z @ z))
+        self.counters.update(wire.schedule_counts(schedule, n))
+        return _finish(n, shift, total, total_sq)
 
 
 def _moments(chunks) -> tuple[float, float]:
@@ -255,6 +298,11 @@ def _moments(chunks) -> tuple[float, float]:
         total += float(d.sum())
         total_sq += float(np.dot(d, d))
         n += d.shape[0]
+    return _finish(n, shift, total, total_sq)
+
+
+def _finish(n: int, shift: float, total: float, total_sq: float):
+    """Mean and ddof-1 variance of n samples from their sums about shift."""
     mean = total / n
     var = max(0.0, (total_sq - n * mean * mean) / (n - 1)) if n > 1 else 0.0
     return shift + mean, var
@@ -336,15 +384,15 @@ def leak_bit(session: Session, plan: ExtractionPlan, calib: Calibration,
     The bit's confidence is the z of the statistic that decides it: the
     mean's (``mean_z``) or, for the mode rule, the proportion of fast
     samples (``proportion_z``).  The samples are streamed
-    (``Session._rtts``), into an n-long array only when they are kept or
-    the mode rule needs them, and are never drawn exactly from moments:
-    that redraw read 3 flips at criterion 1's pinned seeds, where the
-    criterion allows 1."""
+    (``Session.drawn_moments``), into an n-long array only when they are
+    kept or the mode rule needs them, and are never drawn exactly from
+    moments: that redraw read 3 flips at criterion 1's pinned seeds, where
+    the criterion allows 1."""
     plan.validate()
     threshold, n = calib.threshold_ns, plan.measurements_per_bit
     rtts = np.empty(n) if keep_samples or plan.decision == "mode" else None
-    mean, var = _moments(
-        session._rtts(session.bit_schedule(plan, bit_index), n, rtts))
+    mean, var = session.drawn_moments(
+        session.bit_schedule(plan, bit_index), n, rtts)
     if plan.decision == "mode":
         bit, z = decide(rtts, plan, calib), proportion_z(rtts, threshold)
     else:

@@ -2,7 +2,8 @@
 parsed with the stdlib configparser.  Every key maps 1:1 onto a
 VictimConfig field; unknown keys are configuration errors so typos fail
 loudly at startup, and so are a negative ``public_zero_bytes``, an empty
-``secret`` or ``secret_hex`` and a negative ``base_ns``.
+``secret`` or ``secret_hex``, a negative ``base_ns`` and a ``base_ns`` or
+``sigma_ns`` that is not finite.
 
 In [latency], a named ``preset`` (local, cloud, arm, noiseless) fixes
 sigma, and ``sigma_ns`` is read only when there is no preset.
@@ -25,6 +26,7 @@ Example::
 from __future__ import annotations
 
 import configparser
+import math
 from typing import Optional
 
 from .uarch import SecretStore
@@ -73,13 +75,18 @@ def _build_secrets(section) -> SecretStore:
 
 
 def _build_latency(section) -> LatencyModel:
+    extra = set(section) - {"preset", "base_ns", "sigma_ns", "distribution"}
+    if extra:
+        raise ConfigError(f"unknown keys in [latency]: {sorted(extra)}")
     preset = section.get("preset")
     distribution = section.get("distribution", fallback="gaussian")
     base_ns = section.getfloat("base_ns", fallback=10_000.0)
-    if base_ns < 0:
-        raise ConfigError(f"base_ns is negative: {base_ns}")
+    if not 0 <= base_ns < math.inf:
+        raise ConfigError(f"base_ns must be finite and >= 0: {base_ns}")
     if preset is None:
         sigma = section.getfloat("sigma_ns", fallback=15_600.0)
+        if not math.isfinite(sigma):
+            raise ConfigError(f"sigma_ns is not finite: {sigma}")
         return LatencyModel(base_ns, sigma, "custom", distribution)
     if preset not in PRESETS:
         raise ConfigError(f"unknown latency preset {preset!r}")

@@ -244,19 +244,11 @@ class Victim:
         the last view; mitigation noise is drawn per view, after its
         evictions."""
         cfg = self.config
-        head, trials = self._settle(schedule, n)
-        p_evict = self._p_evict(schedule)
-        if trials:
-            (evict, _), (keep, _) = trials
-        for i, view in zip(range(0, n, wire.CHUNK), wire.views(n, out)):
-            part = head[i:i + view.shape[0]]
-            view[:len(part)] = part
-            rest = view[len(part):]
-            if rest.shape[0] and p_evict is None:
+        for view, h, evict, keep in self.evictions(schedule, n, out):
+            rest = view[h:]
+            if evict == keep:
                 rest.fill(keep)
-            elif rest.shape[0]:
-                self.rng.random(out=rest)
-                np.less(rest, p_evict, out=rest)        # 1.0 where evicted
+            else:
                 rest *= evict - keep
                 rest += keep
             if cfg.mitigation_noise_sigma_ns > 0:
@@ -265,6 +257,24 @@ class Victim:
                          / cfg.cycle_time_ns)
                 np.maximum(0.0, view, out=view)
             yield view
+
+    def evictions(self, schedule: list, n: int,
+                  out: Optional[np.ndarray] = None):
+        """``stream`` before the settled iterations' cycles: yields (view,
+        h, evict, keep) per view, view[:h] the unsettled iterations' timed
+        cycles and view[h:] 1.0 where a settled one evicts (timed cycles
+        evict), 0.0 where it keeps (keep); unwritten without a download,
+        where evict == keep."""
+        head, trials = self._settle(schedule, n)
+        p_evict = self._p_evict(schedule)
+        evict, keep = (trials[0][0], trials[1][0]) if trials else (0.0, 0.0)
+        for i, view in zip(range(0, n, wire.CHUNK), wire.views(n, out)):
+            part = head[i:i + view.shape[0]]
+            view[:len(part)] = part
+            rest = view[len(part):]
+            if p_evict is not None and rest.shape[0]:
+                np.less(self.rng.random(out=rest), p_evict, out=rest)
+            yield view, len(part), evict, keep
         if trials:
             self._pass_time(schedule, n - len(head), trials)
 

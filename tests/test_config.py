@@ -106,3 +106,46 @@ class TestOneOwnerPerInput:
     def test_named_preset_fixes_sigma(self, tmp_path):
         path = write(tmp_path, "[latency]\npreset = noiseless\nsigma_ns = 500\n")
         assert load_config(path).latency == LatencyModel.noiseless()
+
+
+class TestLatencyInput:
+    """[latency] takes only the keys ``dump_config`` writes, and only
+    finite numbers."""
+
+    @pytest.mark.parametrize("text", [
+        "[latency]\npreset = local\nsigam_ns = 5\n",
+        "[latency]\nbase = 100000\n",
+    ], ids=["typo-next-to-preset", "typo-alone"])
+    def test_unknown_key_rejected(self, tmp_path, text):
+        with pytest.raises(ConfigError, match="sigam_ns|base"):
+            load_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize("text", [
+        "[latency]\nbase_ns = nan\n",
+        "[latency]\nbase_ns = inf\n",
+        "[latency]\npreset = local\nbase_ns = nan\n",
+        "[latency]\nsigma_ns = nan\n",
+        "[latency]\nsigma_ns = inf\n",
+    ], ids=["nan-base", "inf-base", "nan-base-with-preset", "nan-sigma",
+            "inf-sigma"])
+    def test_non_finite_rejected(self, tmp_path, text):
+        with pytest.raises(ConfigError):
+            load_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize("text", [
+        "[latency]\npreset = local\nsigam_ns = 5\n",
+        "[latency]\nbase_ns = nan\n",
+    ], ids=["unknown-key", "nan-base"])
+    def test_cli_exits_2(self, tmp_path, text):
+        from spectrelab import cli
+        out = tmp_path / "o"
+        code = cli.main(["leak", "loopback", "--config", write(tmp_path, text),
+                         "--n", "1000", "--bits", "1", "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
+
+    def test_every_dumped_key_loads(self, tmp_path):
+        for latency in (LatencyModel.preset("cloud", 50_000.0, "lognormal"),
+                        LatencyModel(base_ns=0.0, sigma_ns=7.5, name="custom")):
+            path = write(tmp_path, dump_config(VictimConfig(latency=latency)))
+            assert load_config(path).latency == latency
