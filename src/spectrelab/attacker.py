@@ -465,19 +465,12 @@ def leak_range(session: Session, plan: ExtractionPlan, calib: Calibration,
         if progress is not None:
             progress(pos, read)
 
-    data = bytearray()
-    for i in range(0, len(bits) - len(bits) % 8, 8):
-        byte = 0
-        for b in bits[i:i + 8]:
-            byte = (byte << 1) | b
-        data.append(byte)
-
-    nbits = len(bits)
+    data = np.packbits(np.array(bits[:len(bits) // 8 * 8], np.uint8)).tobytes()
     requests = session.total_requests() - requests_before
     per_packet_ns = _projected_packet_ns(session, plan)
-    per_bit = requests / nbits
+    per_bit = requests / len(bits)
     return LeakResult(
-        bits=bits, confidences=confidences, data=bytes(data),
+        bits=bits, confidences=confidences, data=data,
         low_confidence_bits=low_conf, requests_total=requests,
         requests_per_bit=per_bit, wall_seconds=time.monotonic() - t0,
         projected_seconds_per_bit=per_bit * per_packet_ns / 1e9)

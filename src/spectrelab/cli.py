@@ -150,13 +150,15 @@ def cmd_leak(args) -> int:
 
 def cmd_aslr(args) -> int:
     cfg = _make_victim_config(args)
-    cfg.aslr_space_bits = args.space_bits
-    cfg.valid_aslr_offset = args.offset
+    if args.space_bits is not None:
+        cfg.aslr_space_bits = args.space_bits
+    if args.offset is not None:
+        cfg.valid_aslr_offset = args.offset
     cfg.validate()   # before a UDP target is contacted
     seed = _resolve_seed(args.seed)
     session, _ = _open_target(args, cfg, seed)
     os.makedirs(args.out, exist_ok=True)
-    result = attacker.break_aslr(session, args.space_bits, args.n)
+    result = attacker.break_aslr(session, cfg.aslr_space_bits, args.n)
     with open(os.path.join(args.out, "rounds.csv"), "w") as fh:
         fh.write("round,lo,hi,mid,mean_left_ns,mean_right_ns,went_left,attempts\n")
         for i, r in enumerate(result.rounds):
@@ -219,9 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_leak)
 
     p = attack_parser("aslr", "derandomize the layout offset")
-    p.add_argument("--space-bits", type=int, default=20)
-    p.add_argument("--offset", type=int, default=0,
-                   help="planted offset (loopback only)")
+    p.add_argument("--space-bits", type=int,
+                   help="layout bits (default: the --config file's, else 20)")
+    p.add_argument("--offset", type=int, help="planted offset, loopback only "
+                   "(default: the --config file's, else 0)")
     p.add_argument("--n", type=int, default=1_000_000,
                    help="probes per half-range check")
     p.set_defaults(func=cmd_aslr)

@@ -1,9 +1,9 @@
 """Victim configuration files: flat ``key = value`` text with sections,
 parsed with the stdlib configparser.  Every key maps 1:1 onto a
 VictimConfig field; unknown keys are configuration errors so typos fail
-loudly at startup, and so are a negative ``public_zero_bytes``, an empty
-``secret`` or ``secret_hex``, a negative ``base_ns`` and a ``base_ns`` or
-``sigma_ns`` that is not finite.
+loudly at startup, and so is every value that does not parse (named by
+its section and key), a negative ``public_zero_bytes``, an empty secret,
+and a ``base_ns`` or ``sigma_ns`` that is negative or not finite.
 
 In [latency], a named ``preset`` (local, cloud, arm, noiseless) fixes
 sigma, and ``sigma_ns`` is read only when there is no preset.
@@ -34,17 +34,8 @@ from .victim import ConfigError, VictimConfig
 from .wire import LatencyModel, PRESETS
 
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"not a boolean: {raw!r}")
-
-
 # section -> key -> (VictimConfig field, parser), in the order dump_config
-# writes them; [victim]'s secret keys and [latency] have builders of their own
+# writes them; the keys in _BUILT_KEYS have builders of their own
 _KEYS = {
     "victim": {key: (key, parse) for key, parse in (
         ("valid_aslr_offset", int), ("aslr_space_bits", int),
@@ -55,42 +46,53 @@ _KEYS = {
         ("decay_start_ns", float), ("decay_end_ns", float),
         ("thrash_lambda", float), ("handler_cycles", int),
         ("per_request_ns", float))},
-    "mitigation": {"barrier": ("mitigation_barrier", _parse_bool),
+    "mitigation": {"barrier": ("mitigation_barrier", lambda raw: configparser
+                               .ConfigParser.BOOLEAN_STATES[raw.lower()]),
                    "noise_sigma_ns": ("mitigation_noise_sigma_ns", float)},
+    "latency": {},
 }
-_SECRET_KEYS = ("secret", "secret_hex", "public_zero_bytes")
+_BUILT_KEYS = {"victim": ("secret", "secret_hex", "public_zero_bytes"),
+               "latency": ("preset", "base_ns", "sigma_ns", "distribution")}
+
+
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not 0 <= value < math.inf:
+        raise ValueError("must be finite and >= 0")
+    return value
+
+
+def _get(section, key: str, parse, fallback=None):
+    """``parse(section[key])``, or ``fallback`` if the key is absent."""
+    if key not in section:
+        return fallback
+    try:
+        return parse(section[key])
+    except (KeyError, ValueError) as err:     # every unparsable value
+        raise ConfigError(
+            f"bad value for [{section.name}] {key}: {err}") from None
 
 
 def _build_secrets(section) -> SecretStore:
-    public_zeros = section.getint("public_zero_bytes", fallback=16)
+    public_zeros = _get(section, "public_zero_bytes", int, 16)
     if public_zeros < 0:
         raise ConfigError(f"public_zero_bytes is negative: {public_zeros}")
-    if "secret_hex" in section:
-        secret = bytes.fromhex(section["secret_hex"])
-    else:
-        secret = section.get("secret", fallback="d").encode()
+    secret = _get(section, "secret_hex", bytes.fromhex,
+                  section.get("secret", fallback="d").encode())
     if not secret:
         raise ConfigError("the secret is empty")
     return SecretStore.with_secret(b"\x00" * public_zeros, secret)
 
 
 def _build_latency(section) -> LatencyModel:
-    extra = set(section) - {"preset", "base_ns", "sigma_ns", "distribution"}
-    if extra:
-        raise ConfigError(f"unknown keys in [latency]: {sorted(extra)}")
-    preset = section.get("preset")
-    distribution = section.get("distribution", fallback="gaussian")
-    base_ns = section.getfloat("base_ns", fallback=10_000.0)
-    if not 0 <= base_ns < math.inf:
-        raise ConfigError(f"base_ns must be finite and >= 0: {base_ns}")
-    if preset is None:
-        sigma = section.getfloat("sigma_ns", fallback=15_600.0)
-        if not math.isfinite(sigma):
-            raise ConfigError(f"sigma_ns is not finite: {sigma}")
+    base_ns = _get(section, "base_ns", _finite, 10_000.0)
+    distribution = _get(section, "distribution", lambda raw: LatencyModel(
+        distribution=raw).distribution, "gaussian")
+    if "preset" not in section:
+        sigma = _get(section, "sigma_ns", _finite, 15_600.0)
         return LatencyModel(base_ns, sigma, "custom", distribution)
-    if preset not in PRESETS:
-        raise ConfigError(f"unknown latency preset {preset!r}")
-    return LatencyModel.preset(preset, base_ns, distribution)
+    return _get(section, "preset", lambda name: LatencyModel.preset(
+        name, base_ns, distribution))
 
 
 def load_config(path: str,
@@ -102,7 +104,7 @@ def load_config(path: str,
         raise ConfigError(f"cannot read config file {path!r}")
     cfg = VictimConfig()
 
-    extra = set(parser.sections()) - {*_KEYS, "latency"}
+    extra = set(parser.sections()) - set(_KEYS)
     if extra:
         raise ConfigError(f"unknown config sections: {sorted(extra)}")
 
@@ -111,8 +113,8 @@ def load_config(path: str,
         for key in section:
             if key in keys:
                 field, parse = keys[key]
-                setattr(cfg, field, parse(section[key]))
-            elif not (name == "victim" and key in _SECRET_KEYS):
+                setattr(cfg, field, _get(section, key, parse))
+            elif key not in _BUILT_KEYS.get(name, ()):
                 raise ConfigError(f"unknown key [{name}] {key}")
     if parser.has_section("victim"):
         cfg.secrets = _build_secrets(parser["victim"])

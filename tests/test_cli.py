@@ -199,6 +199,19 @@ class TestAslrCommand:
                        "--out", str(tmp_path / "x"))
         assert code == cli.EXIT_CONFIG
 
+    def test_layout_flags_override_the_config_file(self, tmp_path):
+        config = tmp_path / "layout.cfg"
+        config.write_text("[victim]\nvalid_aslr_offset = 99\n"
+                          "aslr_space_bits = 8\n")
+        for flags, offset in (((), 99), (("--offset", "200"), 200)):
+            out = tmp_path / f"aslr{offset}"
+            code = run_cli("aslr", "loopback", "--config", str(config),
+                           "--preset", "noiseless", "--n", "1000",
+                           "--seed", "3", "--out", str(out), *flags)
+            assert code == cli.EXIT_OK
+            summary = (out / "summary.txt").read_text()
+            assert f"offset: {offset}\nrounds: 8\n" in summary
+
 
 class TestFiguresCommand:
     @pytest.mark.parametrize("fig", ["fig4", "fig6"])

@@ -149,3 +149,25 @@ class TestLatencyInput:
                         LatencyModel(base_ns=0.0, sigma_ns=7.5, name="custom")):
             path = write(tmp_path, dump_config(VictimConfig(latency=latency)))
             assert load_config(path).latency == latency
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize("text, where", [
+        ("[latency]\nsigma_ns = -5\n", "[latency] sigma_ns"),
+        ("[latency]\ndistribution = weird\n", "[latency] distribution"),
+        ("[latency]\nbase_ns = abc\n", "[latency] base_ns"),
+        ("[timing]\nhit_cycles = abc\n", "[timing] hit_cycles"),
+        ("[victim]\nsecret_hex = zz\n", "[victim] secret_hex"),
+        ("[mitigation]\nnoise_sigma_ns = x\n", "[mitigation] noise_sigma_ns"),
+    ], ids=["negative-sigma", "unknown-distribution", "text-base",
+            "text-hit-cycles", "bad-hex", "text-noise-sigma"])
+    def test_is_a_config_error_naming_section_and_key(self, tmp_path, text,
+                                                      where):
+        from spectrelab import cli
+        path = write(tmp_path, text)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert where in str(err.value)
+        code = cli.main(["leak", "loopback", "--config", path, "--n", "1000",
+                         "--bits", "1", "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
