@@ -11,7 +11,6 @@ MicroarchState exclusively.
 
 from __future__ import annotations
 
-import math
 import socket
 import time
 from dataclasses import dataclass, field
@@ -90,8 +89,9 @@ class VictimConfig:
             raise ConfigError("miss_cycles must exceed hit_cycles")
         if self.cycle_time_ns <= 0 or self.thrash_lambda <= 0:
             raise ConfigError("cycle_time and thrash lambda must be positive")
-        if not 0 <= self.per_request_ns < math.inf:
-            raise ConfigError("per_request_ns must be finite and >= 0")
+        if not (self.per_request_ns >= 0       # nan and inf are not whole
+                and float(self.per_request_ns).is_integer()):
+            raise ConfigError("per_request_ns must be whole ns and >= 0")
         if not 0 <= self.value_secret < (1 << self.value_bits):
             raise ConfigError("value_secret outside [0, 2^value_bits)")
 
@@ -220,16 +220,17 @@ class Victim:
     # (run_moments only counts the evictions).  The predictor counter
     # settles within three iterations (one iteration maps it by a monotone
     # function), the cache flags at the first, a cached layout offset at
-    # the first eviction.  Until then only an eviction changes the state,
-    # so the iterations up to it are vectorized too (_until_eviction).
+    # the first eviction.
     #
     # Counters, clock, final state and generator draws match the
     # per-request loop, and with a noiseless transport so do the returned
     # cycles (see tests).  The exception is mitigation noise: per request,
     # every request draws one normal; batched, only the timed ones do, one
-    # chunk at a time after that chunk's eviction draws.  Every wire
-    # schedule has at most one download, which is what one draw per
-    # iteration assumes.
+    # chunk at a time after that chunk's eviction draws.  One draw per
+    # iteration is one download per iteration, so _settle refuses a
+    # schedule with more than one before it counts or draws anything.  The
+    # clock stays exact because per_request_ns is a whole number of ns
+    # (VictimConfig.validate), as is every clock advance on the wire.
 
     def _run_batch(self, schedule: list, n: int) -> np.ndarray:
         cycles = np.empty(n)
@@ -299,11 +300,14 @@ class Victim:
 
     def _settle(self, schedule: list, n: int) -> tuple[list, Optional[list]]:
         """Count n iterations and step them until the state settles; returns
-        their timed cycles and the two forced trials (None if unsettled)."""
+        their timed cycles and the two forced trials (None if unsettled).
+        A schedule with more than one download is refused first."""
         if self.config.clock_mode != "virtual":
             raise ConfigError("batched execution needs the virtual clock")
         if n <= 0:
             raise ValueError("batch size must be positive")
+        if sum(op == OP_DOWNLOAD for op, _ in schedule) > 1:
+            raise ValueError("a batched schedule has at most one download")
         self.counters.update(wire.schedule_counts(schedule, n))
         head: list[float] = []
         while len(head) < n:
@@ -316,33 +320,8 @@ class Victim:
                                            for _, end in trials)
             if evict_returns and keep_returns:
                 return head, trials
-            if keep_returns:         # so the evict trial evicted
-                head += self._until_eviction(schedule, n - len(head), trials)
-            else:
-                head.append(self._iterate(schedule, self.rng))
+            head.append(self._iterate(schedule, self.rng))
         return head, None
-
-    def _until_eviction(self, schedule: list, k: int, trials: list) -> list:
-        """The timed cycles of up to k iterations from a state only an
-        eviction changes (a cached layout offset).  The ones that keep the
-        cache are the keep trial, so their uniforms are drawn vectorized up
-        to the first eviction; the generator is rewound to just past its
-        uniform, and that iteration runs as the evict trial does."""
-        rng, p_evict = self.rng, self._p_evict(schedule)
-        keeps = k
-        for i, view in zip(range(0, k, wire.CHUNK), wire.views(k)):
-            state = rng.bit_generator.state
-            evicted = np.flatnonzero(rng.random(out=view) < p_evict)
-            if evicted.size:
-                rng.bit_generator.state = state
-                rng.random(int(evicted[0]) + 1)
-                keeps = i + int(evicted[0])
-                break
-        cycles = [trials[1][0]] * keeps
-        self._pass_time(schedule, keeps, trials[1:])
-        if keeps < k:
-            cycles.append(self._iterate(schedule, _EVICT))
-        return cycles
 
     def _iterate(self, schedule: list, rng) -> float:
         """One iteration through the gadgets; returns the timed cycles."""

@@ -155,10 +155,10 @@ class TestLeakCommand:
                        "--n", "10", "--out", str(tmp_path / "x"))
         assert code == cli.EXIT_CONFIG
 
-    @pytest.mark.parametrize("step", ["-5", "nan"])
+    @pytest.mark.parametrize("step", ["-5", "nan", "0.5"])
     def test_bad_per_request_time_exit_code(self, tmp_path, step):
         bad = tmp_path / "bad.cfg"
-        bad.write_text(f"[victim]\nper_request_ns = {step}\n")
+        bad.write_text(f"[timing]\nper_request_ns = {step}\n")
         code = run_cli("leak", "loopback", "--config", str(bad),
                        "--n", "10", "--out", str(tmp_path / "x"))
         assert code == cli.EXIT_CONFIG

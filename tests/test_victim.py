@@ -147,6 +147,15 @@ class TestDispatch:
         with pytest.raises(uarch.ClockError):
             _req(victim, wire.OP_RESET)
 
+    def test_per_request_time_is_whole_ns(self):
+        # a batch moves the clock by one sum, a request by one step each;
+        # the two agree only while every step is a whole number of ns
+        for step in (0.1, 0.5, 0.7, 333.3, math.inf):
+            with pytest.raises(ConfigError):
+                VictimConfig(per_request_ns=step).validate()
+        for step in (0, 5, 1000.0):
+            VictimConfig(per_request_ns=step).validate()
+
 
 class TestDatagrams:
     def test_empty_datagram_dropped(self):
@@ -392,19 +401,16 @@ class TestBatchEquivalence:
 
     @pytest.mark.parametrize("reset_bytes", [1, 100])
     def test_cached_layout_offset_skips_to_the_eviction(self, reset_bytes):
-        # while a layout offset stays cached only an eviction changes the
-        # state, so the batch draws the iterations up to it vectorized: at
-        # 1 byte none of the 20000 downloads evicts, at 100 bytes one does
+        # while a layout offset stays cached the state has not settled, so
+        # the batch steps every iteration up to the first eviction: at 1
+        # byte none of the 20000 downloads evicts, at 100 bytes one does
         pair = _Pair(valid_aslr_offset=5)
         for session in (pair.slow, pair.batch):
             for lo, hi in ((0, 0), (0, 0), (0, 16)):    # train twice, probe
                 session.request(wire.OP_ASLR_PROBE, (lo << 32) | hi)
-        iterate, calls = pair.vb._iterate, []
-        pair.vb._iterate = lambda *args: calls.append(args) or iterate(*args)
         plan = ExtractionPlan(reset_bytes=reset_bytes)
         a = pair.slow.collect_value(0, 20_000, plan)
         b = pair.batch.collect_value(0, 20_000, plan)
-        assert len(calls) < 20
         assert a.tolist() == b.tolist()
         assert pair.slow.counters == pair.batch.counters
         assert (pair.va.state.cache.aslr_cached_offset
@@ -506,6 +512,153 @@ class TestBatchEquivalenceRandomized:
                 == pair.vb.state.cache.aslr_cached_offset)
         assert pair.slow.transport.rng.random() == pair.batch.transport.rng.random()
         pair.assert_state_matches()
+
+
+_DOWNLOAD = st.tuples(st.just(wire.OP_DOWNLOAD), st.integers(0, 2_000_000))
+
+
+@st.composite
+def _batch_schedule(draw):
+    """Raw requests with any number of clock advances, the timed request
+    last (a measuring one, or any, or one the victim refuses), and up to
+    two downloads of any size anywhere, the timed request included: a
+    batch runs one and refuses two."""
+    timed = st.sampled_from([(op, 0) for op in (
+        wire.OP_TRANSMIT_CACHE, wire.OP_TRANSMIT_AVX, wire.OP_TIMING_FN, 0x7F)])
+    other = _raw_request().filter(lambda r: r[0] != wire.OP_DOWNLOAD)
+    schedule = draw(st.lists(other, max_size=7))
+    schedule.append(draw(st.one_of(timed, other)))
+    for _ in range(draw(st.sampled_from((1, 1, 1, 0, 2)))):   # mostly one
+        schedule.insert(draw(st.integers(0, len(schedule))), draw(_DOWNLOAD))
+    return schedule
+
+
+@st.composite
+def _timing(draw):
+    """Timing constants of a valid victim; per_request_ns is whole ns."""
+    hit, start = draw(st.integers(0, 300)), draw(st.floats(0.0, 2e6))
+    return dict(cycle_time_ns=draw(st.floats(0.05, 2.0)), hit_cycles=hit,
+                miss_cycles=hit + draw(st.integers(1, 300)),
+                warm_cycles=draw(st.integers(0, 400)),
+                max_penalty_cycles=draw(st.integers(0, 600)),
+                decay_start_ns=start,
+                decay_end_ns=start + draw(st.floats(1.0, 2e6)),
+                thrash_lambda=draw(st.floats(1e3, 1e6)),
+                handler_cycles=draw(st.integers(0, 2000)),
+                per_request_ns=float(draw(st.integers(0, 500_000))))
+
+
+def _compare_collect(a, b):
+    assert a.tolist() == b.tolist()
+
+
+def _compare_sample_moments(a, b):
+    assert a == b              # the same chunks, reduced the same way
+
+
+def _compare_drawn_moments(a, b):
+    # batched, reduced from the draws; per request, from the round trips
+    assert abs(a[0] - b[0]) <= np.spacing(b[0])
+    assert a[1] == pytest.approx(b[1], rel=1e-9, abs=1e-9)
+
+
+def _compare_moments(a, b):
+    # batched, the victim's moments; per request, the round trips' read
+    assert a[0] == pytest.approx(b[0], rel=1e-12)
+    assert a[1] == pytest.approx(b[1], rel=1e-9, abs=1e-9)
+
+
+# read entry -> how its batched read must compare with its per-request read
+_READS = {"_collect": _compare_collect,
+          "sample_moments": _compare_sample_moments,
+          "drawn_moments": _compare_drawn_moments,
+          "moments": _compare_moments}
+
+
+class TestBatchEngineFuzz:
+    """Every read entry, batched against per request, over drawn timing
+    constants, prior states and schedules from a grammar of raw requests,
+    across chunk boundaries (wire.CHUNK of 3 to 8), over a noiseless
+    transport.  Mitigation noise stays off, as in
+    TestBatchEquivalenceRandomized."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_reads_match_per_request(self, data):
+        draw = data.draw
+        public, secret = draw(st.integers(0, 255)), draw(st.integers(0, 255))
+        pair = _Pair(secrets=SecretStore(bytes([public, secret]),
+                                         bitstream_length=8),
+                     mitigation_barrier=draw(st.booleans()),
+                     value_secret=draw(st.integers(0, 15)),
+                     valid_aslr_offset=draw(st.integers(0, 63)),
+                     aslr_space_bits=6, **draw(_timing()))
+        prefix = draw(st.lists(_raw_request(), max_size=20))
+        if draw(st.booleans()):   # train twice and probe: an offset cached
+            prefix += [(wire.OP_ASLR_PROBE, 0)] * 2 + [(wire.OP_ASLR_PROBE, 64)]
+        chunk = draw(st.integers(3, 8))
+        reads = draw(st.lists(st.tuples(
+            st.sampled_from(sorted(_READS)), _batch_schedule(),
+            st.integers(1, 3 * chunk + 1)), min_size=1, max_size=3))
+        for session in (pair.slow, pair.batch):
+            for op, arg in prefix:
+                session.request(op, arg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wire, "CHUNK", chunk)
+            for entry, schedule, n in reads:
+                if sum(op == wire.OP_DOWNLOAD for op, _ in schedule) > 1:
+                    before = _untouched(pair.batch)
+                    with pytest.raises(ValueError, match="one download"):
+                        getattr(pair.batch, entry)(schedule, n)
+                    assert _untouched(pair.batch) == before
+                    continue
+                slow, batch = (getattr(s, entry)(schedule, n)
+                               for s in (pair.slow, pair.batch))
+                _READS[entry](batch, slow)
+                assert pair.slow.counters == pair.batch.counters
+                assert (pair.va.state.cache.aslr_cached_offset
+                        == pair.vb.state.cache.aslr_cached_offset)
+                assert (pair.slow.transport.rng.random()
+                        == pair.batch.transport.rng.random())
+                pair.assert_state_matches()
+
+
+def _untouched(session):
+    """Both request counters, the victim's clock and state, and both
+    generators' states: what a refused read must leave as it was."""
+    v = session.transport.victim
+    return (sorted(session.counters.items()), sorted(v.counters.items()),
+            v._snapshot(), v.rng.bit_generator.state,
+            session.transport.rng.bit_generator.state)
+
+
+# two downloads in one iteration: one eviction draw per iteration cannot
+# run it, so every batched entry refuses it
+TWO_DOWNLOADS = [(wire.OP_TRANSMIT_CACHE, 0), (wire.OP_DOWNLOAD, 300_000),
+                 (wire.OP_DOWNLOAD, 590_000), (wire.OP_TRANSMIT_CACHE, 0)]
+BATCH_ENTRIES = {
+    "_collect": lambda s, n: s._collect(TWO_DOWNLOADS, n),
+    "sample_moments": lambda s, n: s.sample_moments(TWO_DOWNLOADS, n),
+    "moments": lambda s, n: s.moments(TWO_DOWNLOADS, n),
+    "drawn_moments": lambda s, n: s.drawn_moments(TWO_DOWNLOADS, n),
+    "stream": lambda s, n: list(s.transport.victim.stream(TWO_DOWNLOADS, n)),
+    "run_moments": lambda s, n: s.transport.victim.run_moments(TWO_DOWNLOADS,
+                                                               n),
+}
+
+
+@pytest.mark.parametrize("entry", BATCH_ENTRIES)
+def test_batch_refuses_two_downloads(entry):
+    # a Gaussian transport whose reads reduce, so a refusal after the first
+    # eviction or noise draw would show in a generator
+    pair = _Pair(seed=1, latency=LatencyModel(base_ns=100_000.0, sigma_ns=20.0))
+    before = _untouched(pair.batch)
+    with pytest.raises(ValueError, match="at most one download"):
+        BATCH_ENTRIES[entry](pair.batch, 2000)
+    assert _untouched(pair.batch) == before
+    # the per-request path runs it
+    assert pair.slow._collect(TWO_DOWNLOADS, 2000).shape == (2000,)
+    assert pair.slow.counters[wire.OP_DOWNLOAD] == 4000
 
 
 def test_request_triple_is_its_packet():

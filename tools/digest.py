@@ -68,6 +68,14 @@ batched ``collect_bit`` at n = 5,000 and a ``moments`` read at n = 70,000.
 Each hashes the raw round trips, the array, the moments, both request
 counters, the victim state and the next draw of both generators.
 
+Eight ``cached`` lines, one per latency model read as samples or as
+moments, guard the batch's steps while a layout offset stays cached:
+raw probes leave offset 777 cached, then a batched value read at a
+100-byte reset (a download evicts about once in 1,300 iterations) runs
+70,000 iterations, across a ``wire.CHUNK`` boundary, as
+``collect_value`` or as ``moments``.  Each hashes the read, both request
+counters, the victim state and the next draw of both generators.
+
 Then, for each batched configuration that ``Session.moments`` draws
 exactly (Gaussian or noiseless, no mitigation noise), two ``victim`` lines
 hash only the victim side (both request counters, the clock, the
@@ -170,6 +178,8 @@ ATTACKS = ("calibrate", "leak_range", "break_aslr", "value_threshold_search")
 ATTACK_N = 100          # measurements per bit, layout check and comparison
 ATTACK_CAL_N = 1000     # measurements per calibration corner
 MIXED_REQUESTS = wire.BLOCK + 476     # raw requests before the batched reads
+CACHED_RESET_BYTES = 100   # a download evicts about once in 1,300 iterations
+CACHED_N = 70_000          # one wire.CHUNK and 4,464 iterations
 GUESSES = (0, 4241, 4242, 9000)
 RANGES = ((0, 2048), (512, 1024), (777, 778))
 
@@ -301,6 +311,19 @@ def run_mixed(latency, shared) -> str:
                     session.moments(schedule, 70_000)) + _side(session))
 
 
+def run_cached(latency, moments) -> str:
+    """Raw layout probes leave an offset cached, then one batched value
+    read at a small reset, read as round trips or as moments."""
+    session = _session(latency, 0.0, False, "batched")
+    for lo, hi in ((0, 0), (0, 0), (0, 1 << 12)):     # train twice, probe
+        session.request(wire.OP_ASLR_PROBE, (lo << 32) | hi)
+    plan = ExtractionPlan(reset_bytes=CACHED_RESET_BYTES)
+    read = (session.moments(wire.value_schedule(0, plan.mistrain_count,
+                                                plan.reset_bytes), CACHED_N)
+            if moments else session.collect_value(0, CACHED_N, plan).tobytes())
+    return _digest(read, _side(session))
+
+
 def run_victim(latency, barrier, index, n, moments) -> str:
     """The victim side after the reads ``Session.moments`` serves, read as
     moments or as samples."""
@@ -357,6 +380,11 @@ def batch_grid() -> None:
         print(f"mixed batched {name} generator="
               f"{'shared' if shared else 'separate'} "
               f"{run_mixed(latency, shared)}", flush=True)
+    for (name, latency), moments in itertools.product(LATENCIES.items(),
+                                                      (False, True)):
+        print(f"cached batched {name} read="
+              f"{'moments' if moments else 'samples'} "
+              f"{run_cached(latency, moments)}", flush=True)
     for path, name, barrier, warmth in itertools.product(
             ("samples", "moments"), ("gaussian", "noiseless"), (False, True),
             TRAINING_INDEX):
