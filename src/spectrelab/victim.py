@@ -36,6 +36,16 @@ _EVICT = SimpleNamespace(random=lambda: 0.0)
 _KEEP = SimpleNamespace(random=lambda: 1.0)
 
 
+def _pass_uniforms(rng, out: np.ndarray) -> None:
+    """Leave ``rng`` where ``rng.random(out=out)`` would: a PCG64 keeping no
+    32-bit value (advancing drops or zeroes it) advances, others draw."""
+    bits, state = rng.bit_generator, rng.bit_generator.state
+    if type(bits) is np.random.PCG64 and not (state["has_uint32"] or state["uinteger"]):
+        bits.advance(out.shape[0])
+    else:
+        rng.random(out=out)
+
+
 def _returns(start: tuple, end: tuple) -> bool:
     """Whether an iteration left every state the next one reads as it found
     it.  The clock may move; the SIMD unit must be untouched or last used
@@ -217,7 +227,8 @@ class Victim:
     # falls.  From there on an iteration differs from the next only in
     # that draw, so the rest of the batch is one vectorized uniform per
     # iteration choosing between the two timed cycle values found
-    # (run_moments only counts the evictions).  The predictor counter
+    # (run_moments only counts the evictions), or, where the two are
+    # equal, passed unread (_pass_uniforms).  The predictor counter
     # settles within three iterations (one iteration maps it by a monotone
     # function), the cache flags at the first, a cached layout offset at
     # the first eviction.
@@ -229,8 +240,8 @@ class Victim:
     # chunk at a time after that chunk's eviction draws.  One draw per
     # iteration is one download per iteration, so _settle refuses a
     # schedule with more than one before it counts or draws anything.  The
-    # clock stays exact because per_request_ns is a whole number of ns
-    # (VictimConfig.validate), as is every clock advance on the wire.
+    # clock stays exact because per_request_ns (VictimConfig.validate) and
+    # every clock advance (_settle, as on the wire) are whole ns.
 
     def _run_batch(self, schedule: list, n: int) -> np.ndarray:
         cycles = np.empty(n)
@@ -264,8 +275,9 @@ class Victim:
         """``stream`` before the settled iterations' cycles: yields (view,
         h, evict, keep) per view, view[:h] the unsettled iterations' timed
         cycles and view[h:] 1.0 where a settled one evicts (timed cycles
-        evict), 0.0 where it keeps (keep); unwritten without a download,
-        where evict == keep."""
+        evict), 0.0 where it keeps (keep).  Where evict == keep, view[h:]
+        is unwritten and no reader may depend on it: drawn_moments' first
+        shift indexes its two bases by view[0], which are then equal."""
         head, trials = self._settle(schedule, n)
         p_evict = self._p_evict(schedule)
         evict, keep = (trials[0][0], trials[1][0]) if trials else (0.0, 0.0)
@@ -274,7 +286,10 @@ class Victim:
             view[:len(part)] = part
             rest = view[len(part):]
             if p_evict is not None and rest.shape[0]:
-                np.less(self.rng.random(out=rest), p_evict, out=rest)
+                if evict == keep:          # nothing reads rest: pass its draws
+                    _pass_uniforms(self.rng, rest)
+                else:
+                    np.less(self.rng.random(out=rest), p_evict, out=rest)
             yield view, len(part), evict, keep
         if trials:
             self._pass_time(schedule, n - len(head), trials)
@@ -287,11 +302,15 @@ class Victim:
         groups = [(c, 1) for c in head]        # (timed cycles, iterations)
         if trials:               # one eviction draw per remaining iteration
             k, e, p_evict = n - len(head), 0, self._p_evict(schedule)
+            evict, keep = trials[0][0], trials[1][0]
             if p_evict is not None:
                 for view in wire.views(k):
-                    e += int(np.count_nonzero(self.rng.random(out=view) < p_evict))
+                    if evict == keep:      # nothing reads e: pass its draws
+                        _pass_uniforms(self.rng, view)
+                    else:
+                        e += int(np.count_nonzero(self.rng.random(out=view) < p_evict))
             self._pass_time(schedule, k, trials)
-            groups += [(trials[0][0], e), (trials[1][0], k - e)]
+            groups += [(evict, e), (keep, k - e)]
         # summed about a timed value, so a constant batch reads exactly
         c0 = next(c for c, m in groups if m)
         total = sum((c - c0) * m for c, m in groups)
@@ -301,13 +320,17 @@ class Victim:
     def _settle(self, schedule: list, n: int) -> tuple[list, Optional[list]]:
         """Count n iterations and step them until the state settles; returns
         their timed cycles and the two forced trials (None if unsettled).
-        A schedule with more than one download is refused first."""
+        A schedule with more than one download, or a clock advance that is
+        not whole ns, is refused first."""
         if self.config.clock_mode != "virtual":
             raise ConfigError("batched execution needs the virtual clock")
         if n <= 0:
             raise ValueError("batch size must be positive")
         if sum(op == OP_DOWNLOAD for op, _ in schedule) > 1:
             raise ValueError("a batched schedule has at most one download")
+        if not all(float(arg).is_integer() for op, arg in schedule
+                   if op == OP_ADVANCE_CLOCK):
+            raise ValueError("a batched clock advance is whole ns")
         self.counters.update(wire.schedule_counts(schedule, n))
         head: list[float] = []
         while len(head) < n:

@@ -176,9 +176,12 @@ def encode_request(packet: tuple) -> bytes:
     opcode, arg, nonce = packet
     if opcode not in VALID_OPCODES:
         raise CodecError(f"unknown opcode {opcode:#04x}", nonce)
-    if not 0 <= arg <= _U64_MASK or not 0 <= nonce <= _U64_MASK:
-        raise CodecError("arg/nonce out of 64-bit range", nonce)
-    return _FRAME.pack(opcode, arg, nonce)
+    try:
+        if not 0 <= arg <= _U64_MASK or not 0 <= nonce <= _U64_MASK:
+            raise CodecError("arg/nonce out of 64-bit range", nonce)
+        return _FRAME.pack(opcode, arg, nonce)
+    except (TypeError, struct.error):     # not an integer, e.g. 2.5 or "1"
+        raise CodecError("arg/nonce is not an integer") from None
 
 
 def decode_request(data: bytes) -> RequestPacket:
@@ -262,13 +265,14 @@ class LatencyModel:
     def noiseless(cls, base_ns: float = 10_000.0) -> "LatencyModel":
         return cls(base_ns=base_ns, sigma_ns=0.0, name="noiseless")
 
-    def noise(self, rng: np.random.Generator, size=None):
+    def noise(self, rng: np.random.Generator, size=None, out=None):
+        """One round trip's noise, or ``size`` (Gaussian: into ``out``)."""
         if self.sigma_ns == 0.0:
             return 0.0 if size is None else np.zeros(size)
         if self.distribution == "gaussian":
             # the values of rng.normal(0, sigma, size), which numpy
             # computes as 0 + sigma z, at a lower cost per call
-            z = rng.standard_normal(size)
+            z = rng.standard_normal(size, out=out)
             z *= self.sigma_ns
             return z
         s = self._LOGNORMAL_SHAPE
@@ -317,9 +321,10 @@ class LatencyModel:
             return 0.0 if rtt < 0.0 else rtt       # max(rtt, 0.0), cheaper
         out = (server_ns if isinstance(server_ns, np.ndarray)
                else np.full(size, float(server_ns)))
+        buf = np.empty(min(out.shape[0], CHUNK))    # for Gaussian noise
         for view in views(out.shape[0], out):
             view += 2.0 * self.base_ns
-            view += self.noise(rng, size=view.shape[0])
+            view += self.noise(rng, view.shape[0], buf[:view.shape[0]])
             np.maximum(view, 0.0, out=view)
         return out
 

@@ -661,6 +661,32 @@ def test_batch_refuses_two_downloads(entry):
     assert pair.slow.counters[wire.OP_DOWNLOAD] == 4000
 
 
+# a clock advance of 2.5 ns: per request the session sends int(2.5), the
+# batch would add 2.5 per iteration, so every batched entry refuses it
+HALF_NS = [(wire.OP_ADVANCE_CLOCK, 2.5), (wire.OP_TRANSMIT_AVX, 0)]
+HALF_NS_ENTRIES = {
+    "_collect": lambda s, n: s._collect(HALF_NS, n),
+    "sample_moments": lambda s, n: s.sample_moments(HALF_NS, n),
+    "moments": lambda s, n: s.moments(HALF_NS, n),
+    "drawn_moments": lambda s, n: s.drawn_moments(HALF_NS, n),
+    "stream": lambda s, n: list(s.transport.victim.stream(HALF_NS, n)),
+    "run_moments": lambda s, n: s.transport.victim.run_moments(HALF_NS, n),
+}
+
+
+@pytest.mark.parametrize("entry", HALF_NS_ENTRIES)
+def test_batch_refuses_a_fractional_clock_advance(entry):
+    pair = _Pair(seed=1, latency=LatencyModel(base_ns=100_000.0, sigma_ns=20.0))
+    before = _untouched(pair.batch)
+    with pytest.raises(ValueError, match="whole ns"):
+        HALF_NS_ENTRIES[entry](pair.batch, 3)
+    assert _untouched(pair.batch) == before
+    # a whole advance, float or not, runs
+    for advance in (2, 2.0):
+        schedule = [(wire.OP_ADVANCE_CLOCK, advance), (wire.OP_TRANSMIT_AVX, 0)]
+        assert pair.batch._collect(schedule, 3).shape == (3,)
+
+
 def test_request_triple_is_its_packet():
     # a request is an (opcode, arg, nonce) triple; RequestPacket is its named
     # form, and the victim answers both alike: downloads and mitigation

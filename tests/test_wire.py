@@ -62,6 +62,18 @@ class TestCodec:
         with pytest.raises(CodecError):
             encode_request(RequestPacket(0x7F, 0, 0))
 
+    @pytest.mark.parametrize("arg,nonce", [(2.5, 1), (1, 1.5), ("1", 1),
+                                           (None, 1), (np.float64(3.0), 1)])
+    def test_non_integer_field_is_a_codec_error(self, arg, nonce):
+        # a typed error, so a remote session maps it to its exit code
+        with pytest.raises(CodecError, match="not an integer"):
+            encode_request((wire.OP_ADVANCE_CLOCK, arg, nonce))
+
+    def test_numpy_integers_encode(self):
+        assert (encode_request((wire.OP_ADVANCE_CLOCK, np.int64(5),
+                                np.uint64(7)))
+                == encode_request((wire.OP_ADVANCE_CLOCK, 5, 7)))
+
     @given(opcodes, u64, u64)
     def test_request_round_trip(self, opcode, arg, nonce):
         packet = RequestPacket(opcode, arg, nonce)

@@ -76,6 +76,16 @@ raw probes leave offset 777 cached, then a batched value read at a
 ``collect_value`` or as ``moments``.  Each hashes the read, both request
 counters, the victim state and the next draw of both generators.
 
+Eight ``fallback`` lines, one per latency model and victim generator,
+guard the batch's eviction draws where its generator cannot advance past
+them: an MT19937, or a PCG64 holding a buffered 32-bit value.  Value reads
+just below the secret (whose settled iterations time alike) and at it
+(where they time apart by eviction) run 70,000 iterations each, across a
+``wire.CHUNK`` boundary, as ``moments``, ``drawn_moments`` and
+``_collect``.  Each hashes the six reads, both request counters, the
+victim state, the next draw of both generators and the victim's next
+32-bit draw.
+
 Then, for each batched configuration that ``Session.moments`` draws
 exactly (Gaussian or noiseless, no mitigation noise), two ``victim`` lines
 hash only the victim side (both request counters, the clock, the
@@ -181,6 +191,12 @@ MIXED_REQUESTS = wire.BLOCK + 476     # raw requests before the batched reads
 CACHED_RESET_BYTES = 100   # a download evicts about once in 1,300 iterations
 CACHED_N = 70_000          # one wire.CHUNK and 4,464 iterations
 GUESSES = (0, 4241, 4242, 9000)
+# victim generators that draw every eviction uniform: MT19937 cannot
+# advance, and advancing a PCG64 would drop its buffered 32-bit value
+FALLBACK_GENERATORS = {
+    "mt19937": lambda seed: np.random.Generator(np.random.MT19937(seed)),
+    "pcg64-buffered": lambda seed: _buffered(np.random.default_rng(seed)),
+}
 RANGES = ((0, 2048), (512, 1024), (777, 778))
 
 
@@ -324,6 +340,27 @@ def run_cached(latency, moments) -> str:
     return _digest(read, _side(session))
 
 
+def _buffered(rng):
+    rng.integers(0, 10, dtype=np.uint32)     # buffers the draw's other half
+    return rng
+
+
+def run_fallback(latency, generator) -> str:
+    """Value reads below and at the secret, as moments, drawn moments and
+    round trips, by a victim on one of ``FALLBACK_GENERATORS``."""
+    session = _session(latency, 0.0, False, "batched")
+    victim = session.transport.victim
+    victim.rng = FALLBACK_GENERATORS[generator](12)
+    reads = []
+    for guess in GUESSES[1:3]:
+        schedule = wire.value_schedule(guess, 10, ExtractionPlan().reset_bytes)
+        reads += [session.moments(schedule, CACHED_N),
+                  session.drawn_moments(schedule, CACHED_N),
+                  session._collect(schedule, CACHED_N).tobytes()]
+    return _digest(*reads, _side(session),
+                   int(victim.rng.integers(0, 1 << 32, dtype=np.uint32)))
+
+
 def run_victim(latency, barrier, index, n, moments) -> str:
     """The victim side after the reads ``Session.moments`` serves, read as
     moments or as samples."""
@@ -385,6 +422,10 @@ def batch_grid() -> None:
         print(f"cached batched {name} read="
               f"{'moments' if moments else 'samples'} "
               f"{run_cached(latency, moments)}", flush=True)
+    for (name, latency), generator in itertools.product(LATENCIES.items(),
+                                                        FALLBACK_GENERATORS):
+        print(f"fallback batched {name} generator={generator} "
+              f"{run_fallback(latency, generator)}", flush=True)
     for path, name, barrier, warmth in itertools.product(
             ("samples", "moments"), ("gaussian", "noiseless"), (False, True),
             TRAINING_INDEX):
