@@ -22,7 +22,7 @@ import numpy as np
 
 from . import attacker, config as config_mod, figures, stats, wire
 from .attacker import CalibrationError, ExtractionError, ExtractionPlan, Session
-from .victim import ConfigError, Victim, VictimConfig
+from .victim import Victim, VictimConfig
 from .wire import LatencyModel, UDPTransport, WireError
 
 EXIT_OK = 0
@@ -247,7 +247,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as err:
+    except ValueError as err:        # a ConfigError is one
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (WireError, ConnectionError, OSError) as err:

@@ -41,20 +41,19 @@ def _write_rows(path: str, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _histogram_pair(out_dir: str, stem: str, hit: np.ndarray,
-                    miss: np.ndarray) -> None:
-    for label, rtts in (("hit", hit), ("miss", miss)):
-        hist = stats.histogram(rtts, _VISIBLE_SPEC)
-        stats.write_histogram_csv(os.path.join(out_dir, f"{stem}_{label}.csv"),
-                                  hist)
+def _corners(out_dir: str, stem: str, channel: str, seed: int, n: int) -> None:
+    """Histograms of ``channel``'s hit and miss corners, one CSV each."""
+    session = _session(seed, _VISIBLE_SIGMA_NS)
+    for corner in ("hit", "miss"):
+        hist = stats.histogram(session.collect_corner(channel, corner, n),
+                               _VISIBLE_SPEC)
+        stats.write_histogram_csv(
+            os.path.join(out_dir, f"{stem}_{corner}.csv"), hist)
 
 
 def fig3(out_dir: str, seed: int, n: int = 100_000) -> None:
     """Cache-channel corner histograms: cached vs evicted transmit times."""
-    session = _session(seed, _VISIBLE_SIGMA_NS)
-    hit = session.collect_corner("cache", "hit", n)
-    miss = session.collect_corner("cache", "miss", n)
-    _histogram_pair(out_dir, "fig3", hit, miss)
+    _corners(out_dir, "fig3", "cache", seed, n)
 
 
 def fig4(out_dir: str, seed: int, trials: int = 10_000) -> None:
@@ -78,10 +77,7 @@ def fig4(out_dir: str, seed: int, trials: int = 10_000) -> None:
 
 def fig5(out_dir: str, seed: int, n: int = 100_000) -> None:
     """SIMD power-state histograms: warm vs fully powered-down unit."""
-    session = _session(seed, _VISIBLE_SIGMA_NS)
-    hit = session.collect_corner("avx", "hit", n)
-    miss = session.collect_corner("avx", "miss", n)
-    _histogram_pair(out_dir, "fig5", hit, miss)
+    _corners(out_dir, "fig5", "avx", seed, n)
 
 
 def fig6(out_dir: str, seed: int) -> None:

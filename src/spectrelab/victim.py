@@ -11,6 +11,7 @@ MicroarchState exclusively.
 
 from __future__ import annotations
 
+import math
 import socket
 import time
 from dataclasses import dataclass, field
@@ -93,12 +94,16 @@ class VictimConfig:
                 f"aslr_space_bits outside [0, {wire.MAX_SPACE_BITS}]")
         if not 0 <= self.valid_aslr_offset < (1 << self.aslr_space_bits):
             raise ConfigError("valid_aslr_offset outside the probe space")
-        if self.mitigation_noise_sigma_ns < 0:
-            raise ConfigError("mitigation noise sigma must be >= 0")
+        if not 0 <= self.mitigation_noise_sigma_ns < math.inf:
+            raise ConfigError("mitigation noise sigma must be finite and >= 0")
         if self.miss_cycles <= self.hit_cycles:
             raise ConfigError("miss_cycles must exceed hit_cycles")
-        if self.cycle_time_ns <= 0 or self.thrash_lambda <= 0:
-            raise ConfigError("cycle_time and thrash lambda must be positive")
+        if not (0 < self.cycle_time_ns < math.inf
+                and 0 < self.thrash_lambda < math.inf):
+            raise ConfigError("cycle_time and thrash lambda must be finite and > 0")
+        if not (math.isfinite(self.decay_start_ns)
+                and math.isfinite(self.decay_end_ns)):
+            raise ConfigError("decay start and end must be finite")
         if not (self.per_request_ns >= 0       # nan and inf are not whole
                 and float(self.per_request_ns).is_integer()):
             raise ConfigError("per_request_ns must be whole ns and >= 0")
@@ -239,9 +244,11 @@ class Victim:
     # every request draws one normal; batched, only the timed ones do, one
     # chunk at a time after that chunk's eviction draws.  One draw per
     # iteration is one download per iteration, so _settle refuses a
-    # schedule with more than one before it counts or draws anything.  The
-    # clock stays exact because per_request_ns (VictimConfig.validate) and
-    # every clock advance (_settle, as on the wire) are whole ns.
+    # schedule with more than one before it counts or draws anything.  A
+    # batch is charged once, when it settles: _settle counts it and moves
+    # the clock past the rest by the settled iteration's own step, exact
+    # because per_request_ns (VictimConfig.validate) and every clock
+    # advance (_settle, as on the wire) are whole ns.
 
     def _run_batch(self, schedule: list, n: int) -> np.ndarray:
         cycles = np.empty(n)
@@ -252,9 +259,9 @@ class Victim:
     def stream(self, schedule: list, n: int, out: Optional[np.ndarray] = None):
         """The timed cycles of n iterations of ``schedule``, one wire.CHUNK
         at a time: fills and yields each of ``wire.views(n, out)``.  The
-        clock (and the SIMD unit's last use) moves past the batch after
-        the last view; mitigation noise is drawn per view, after its
-        evictions."""
+        clock (and the SIMD unit's last use) moves past the batch when it
+        settles, before the first view; mitigation noise is drawn per
+        view, after its evictions."""
         cfg = self.config
         for view, h, evict, keep in self.evictions(schedule, n, out):
             rest = view[h:]
@@ -277,11 +284,12 @@ class Victim:
         cycles and view[h:] 1.0 where a settled one evicts (timed cycles
         evict), 0.0 where it keeps (keep).  Where evict == keep, view[h:]
         is unwritten and no reader may depend on it: drawn_moments' first
-        shift indexes its two bases by view[0], which are then equal."""
-        head, trials = self._settle(schedule, n)
-        p_evict = self._p_evict(schedule)
-        evict, keep = (trials[0][0], trials[1][0]) if trials else (0.0, 0.0)
-        for i, view in zip(range(0, n, wire.CHUNK), wire.views(n, out)):
+        shift indexes its two bases by view[0], which are then equal.  The
+        batch is counted, and its clock moved, when it settles."""
+        views = wire.views(n, out)         # checks out before any count
+        head, settled = self._settle(schedule, n)
+        evict, keep, p_evict = settled or (0.0, 0.0, None)
+        for i, view in zip(range(0, n, wire.CHUNK), views):
             part = head[i:i + view.shape[0]]
             view[:len(part)] = part
             rest = view[len(part):]
@@ -291,25 +299,21 @@ class Victim:
                 else:
                     np.less(self.rng.random(out=rest), p_evict, out=rest)
             yield view, len(part), evict, keep
-        if trials:
-            self._pass_time(schedule, n - len(head), trials)
 
     def run_moments(self, schedule: list, n: int) -> tuple[float, float]:
         """``_run_batch`` without mitigation noise, reduced to the mean of
         the n timed cycles and the sum of their squared deviations: the
         same state, counters and draws, never the n-long array."""
-        head, trials = self._settle(schedule, n)
+        head, settled = self._settle(schedule, n)
         groups = [(c, 1) for c in head]        # (timed cycles, iterations)
-        if trials:               # one eviction draw per remaining iteration
-            k, e, p_evict = n - len(head), 0, self._p_evict(schedule)
-            evict, keep = trials[0][0], trials[1][0]
+        if settled:              # one eviction draw per remaining iteration
+            (evict, keep, p_evict), k, e = settled, n - len(head), 0
             if p_evict is not None:
                 for view in wire.views(k):
                     if evict == keep:      # nothing reads e: pass its draws
                         _pass_uniforms(self.rng, view)
                     else:
                         e += int(np.count_nonzero(self.rng.random(out=view) < p_evict))
-            self._pass_time(schedule, k, trials)
             groups += [(evict, e), (keep, k - e)]
         # summed about a timed value, so a constant batch reads exactly
         c0 = next(c for c, m in groups if m)
@@ -317,17 +321,21 @@ class Victim:
         total_sq = sum((c - c0) ** 2 * m for c, m in groups)
         return c0 + total / n, max(0.0, total_sq - total * total / n)
 
-    def _settle(self, schedule: list, n: int) -> tuple[list, Optional[list]]:
+    def _settle(self, schedule: list, n: int) -> tuple[list, Optional[tuple]]:
         """Count n iterations and step them until the state settles; returns
-        their timed cycles and the two forced trials (None if unsettled).
-        A schedule with more than one download, or a clock advance that is
-        not whole ns, is refused first."""
+        their timed cycles and, if settled, (evict, keep, p_evict): the two
+        forced trials' timed cycles and the download's eviction chance, with
+        the clock already past the rest.  More than one download, a negative
+        one, or a clock advance not whole ns is refused first."""
         if self.config.clock_mode != "virtual":
             raise ConfigError("batched execution needs the virtual clock")
         if n <= 0:
             raise ValueError("batch size must be positive")
-        if sum(op == OP_DOWNLOAD for op, _ in schedule) > 1:
+        downloads = [arg for op, arg in schedule if op == OP_DOWNLOAD]
+        if len(downloads) > 1:
             raise ValueError("a batched schedule has at most one download")
+        p_evict = (uarch.thrash_probability(downloads[0], self.config.thrash_lambda)
+                   if downloads else None)
         if not all(float(arg).is_integer() for op, arg in schedule
                    if op == OP_ADVANCE_CLOCK):
             raise ValueError("a batched clock advance is whole ns")
@@ -339,10 +347,13 @@ class Victim:
             for forced in (_EVICT, _KEEP):
                 trials.append((self._iterate(schedule, forced), self._snapshot()))
                 self._restore(start)
-            evict_returns, keep_returns = (_returns(start, end)
-                                           for _, end in trials)
-            if evict_returns and keep_returns:
-                return head, trials
+            if all(_returns(start, end) for _, end in trials):
+                (evict, end), (keep, _) = trials
+                st = self.state          # each iteration moves the clock alike
+                st.clock.advance((n - len(head)) * (end[0] - start[0]))
+                if end[-1] != start[-1]:     # an iteration runs a 256-bit op
+                    st.avx.last_use_ns = st.clock.now - (end[0] - end[-1])
+                return head, (evict, keep, p_evict)
             head.append(self._iterate(schedule, self.rng))
         return head, None
 
@@ -351,26 +362,6 @@ class Victim:
         for op, arg in schedule:
             cycles = self._dispatch(op, arg, rng)[2]
         return cycles
-
-    def _p_evict(self, schedule: list) -> Optional[float]:
-        """The eviction chance of the schedule's download, if it has one."""
-        downloads = [arg for op, arg in schedule if op == OP_DOWNLOAD]
-        if not downloads:
-            return None
-        return uarch.thrash_probability(downloads[0], self.config.thrash_lambda)
-
-    def _pass_time(self, schedule: list, k: int, trials: list) -> None:
-        """Move the clock past k settled iterations, and the SIMD unit's
-        last use with it when an iteration touches the unit."""
-        cfg, st = self.config, self.state
-        end = trials[0][1]
-        used = end[-1] != st.avx.last_use_ns    # an iteration runs a 256-bit op
-        age = st.clock.now - st.avx.last_use_ns if used else None
-        st.clock.advance(k * sum(arg for op, arg in schedule
-                                 if op == OP_ADVANCE_CLOCK))
-        st.clock.advance(len(schedule) * k * cfg.per_request_ns)
-        if used:
-            st.avx.last_use_ns = st.clock.now - age
 
     def _snapshot(self) -> tuple:
         st = self.state

@@ -217,11 +217,14 @@ CHUNK = 1 << 16
 
 
 def views(n: int, out: Optional[np.ndarray] = None):
-    """Consecutive CHUNK-long views covering n samples: of the 1-D array
-    ``out``, or of one reused buffer that each view overwrites."""
+    """Consecutive CHUNK-long views covering n samples: of ``out``, which
+    must have shape (n,) (checked at the call, before any view), or of one
+    reused buffer that each view overwrites."""
+    if out is not None and out.shape != (n,):
+        raise ValueError(f"out has shape {out.shape}, not ({n},)")
     buf = np.empty(min(n, CHUNK)) if out is None else out
-    for i in range(0, n, CHUNK):
-        yield buf[:min(CHUNK, n - i)] if out is None else buf[i:i + CHUNK]
+    return (buf[:min(CHUNK, n - i)] if out is None else buf[i:i + CHUNK]
+            for i in range(0, n, CHUNK))
 
 
 # Measured latency standard deviations for the three deployment scenarios.
@@ -311,8 +314,9 @@ class LatencyModel:
         """Round-trip time for a request the victim spent ``server_ns`` on.
 
         With ``size``, ``size`` round trips, written over ``server_ns`` when
-        it is a float64 array of that length.  The noise is drawn one CHUNK
-        at a time, which keeps the draws of one ``noise(rng, size)`` call."""
+        it is an array, which must be float64 and of that length.  The noise
+        is drawn one CHUNK at a time, which keeps the draws of one
+        ``noise(rng, size)`` call."""
         if size is None:
             s = self.sigma_ns       # noise(rng), Gaussian drawn without its frame
             noise = (s * rng.standard_normal()
@@ -321,8 +325,8 @@ class LatencyModel:
             return 0.0 if rtt < 0.0 else rtt       # max(rtt, 0.0), cheaper
         out = (server_ns if isinstance(server_ns, np.ndarray)
                else np.full(size, float(server_ns)))
-        buf = np.empty(min(out.shape[0], CHUNK))    # for Gaussian noise
-        for view in views(out.shape[0], out):
+        buf = np.empty(min(size, CHUNK))    # for Gaussian noise
+        for view in views(size, out):
             view += 2.0 * self.base_ns
             view += self.noise(rng, view.shape[0], buf[:view.shape[0]])
             np.maximum(view, 0.0, out=view)

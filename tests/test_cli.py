@@ -163,6 +163,21 @@ class TestLeakCommand:
                        "--n", "10", "--out", str(tmp_path / "x"))
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("mitigation", "noise_sigma_ns", "nan"),
+        ("mitigation", "noise_sigma_ns", "inf"),
+        ("timing", "decay_start_ns", "nan"), ("timing", "decay_end_ns", "nan"),
+        ("timing", "decay_end_ns", "inf"), ("timing", "cycle_time_ns", "nan"),
+        ("timing", "cycle_time_ns", "inf"), ("timing", "thrash_lambda", "nan"),
+        ("timing", "thrash_lambda", "inf")])
+    def test_non_finite_timing_exit_code(self, tmp_path, section, key, value):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"[{section}]\n{key} = {value}\n")
+        code = run_cli("leak", "loopback", "--config", str(bad), "--preset",
+                       "noiseless", "--n", "200", "--bits", "2",
+                       "--out", str(tmp_path / "x"))
+        assert code == cli.EXIT_CONFIG
+
 
 class TestAslrCommand:
     def test_recovers_offset(self, tmp_path):

@@ -687,6 +687,77 @@ def test_batch_refuses_a_fractional_clock_advance(entry):
         assert pair.batch._collect(schedule, 3).shape == (3,)
 
 
+# every batched read entry, on any schedule
+BATCHED_READS = {
+    "_collect": lambda s, schedule, n: s._collect(schedule, n),
+    "sample_moments": lambda s, schedule, n: s.sample_moments(schedule, n),
+    "moments": lambda s, schedule, n: s.moments(schedule, n),
+    "drawn_moments": lambda s, schedule, n: s.drawn_moments(schedule, n),
+    "stream": lambda s, schedule, n: list(s.transport.victim.stream(schedule,
+                                                                    n)),
+    "run_moments": lambda s, schedule, n: s.transport.victim.run_moments(
+        schedule, n),
+}
+
+
+@pytest.mark.parametrize("entry", BATCHED_READS)
+def test_batch_refuses_a_negative_download(entry):
+    # the download's eviction chance is found with the refusals, before the
+    # batch counts, steps the predictor or draws
+    schedule = wire.value_schedule(5, 10, -5)
+    pair = _Pair(seed=1, latency=LatencyModel(base_ns=100_000.0, sigma_ns=20.0))
+    before = _untouched(pair.batch)
+    with pytest.raises(ValueError, match="negative transfer size"):
+        BATCHED_READS[entry](pair.batch, schedule, 100)
+    assert _untouched(pair.batch) == before
+
+
+# the entries that take an out array, and the schedule their reads run
+_VALUE_READ = wire.value_schedule(5, 10, 590_000)
+OUT_ENTRIES = {
+    "Session._rtts": lambda s, out: list(s._rtts(_VALUE_READ, 10, out)),
+    "Session.drawn_moments": lambda s, out: s.drawn_moments(_VALUE_READ, 10,
+                                                            out),
+    "Victim.stream": lambda s, out: list(s.transport.victim.stream(
+        _VALUE_READ, 10, out)),
+    "Victim.evictions": lambda s, out: list(s.transport.victim.evictions(
+        _VALUE_READ, 10, out)),
+}
+
+
+@pytest.mark.parametrize("shape", [(100,), (5,), (10, 1)])
+@pytest.mark.parametrize("entry", OUT_ENTRIES)
+def test_out_of_another_shape_is_refused(entry, shape):
+    pair = _Pair(seed=1, latency=LatencyModel(base_ns=100_000.0, sigma_ns=20.0))
+    for session in (pair.batch, pair.slow):
+        before = _untouched(session)
+        with pytest.raises(ValueError, match="out has shape"):
+            OUT_ENTRIES[entry](session, np.zeros(shape))
+        assert _untouched(session) == before
+    # the same read into an out of shape (n,) runs
+    OUT_ENTRIES[entry](pair.batch, np.zeros(10))
+    assert pair.batch.transport.victim.counters[wire.OP_DOWNLOAD] == 10
+
+
+@pytest.mark.parametrize("entry", ["stream", "evictions"])
+def test_an_abandoned_batch_is_charged_whole(entry):
+    # a settled AVX bit read over four chunks, abandoned after its first
+    # view, has moved the counters, clock and SIMD unit as a drained one
+    schedule = wire.leak_schedule("avx", SECRETS.secret_bit_index(0), 10, 0,
+                                  1_000_000)
+    abandoned, drained = (Victim(VictimConfig(secrets=SECRETS), seed=3)
+                          for _ in range(2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wire, "CHUNK", 8)
+        next(getattr(abandoned, entry)(schedule, 3 * 8 + 1))
+        views = list(getattr(drained, entry)(schedule, 3 * 8 + 1))
+    assert len(views) == 4
+    assert abandoned.counters == drained.counters
+    assert abandoned.state.clock.now == drained.state.clock.now
+    assert abandoned.state.avx.last_use_ns == drained.state.avx.last_use_ns
+    assert drained.state.avx.last_use_ns is not None
+
+
 def test_request_triple_is_its_packet():
     # a request is an (opcode, arg, nonce) triple; RequestPacket is its named
     # form, and the victim answers both alike: downloads and mitigation

@@ -144,6 +144,15 @@ class TestLatencyModel:
             frac = np.mean(np.abs(noise - noise.mean()) <= 3 * noise.std())
             assert frac >= 0.888
 
+    @pytest.mark.parametrize("length", [100, 5])
+    def test_rtt_refuses_an_array_of_another_length(self, length):
+        model = LatencyModel(base_ns=100.0, sigma_ns=20.0)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="out has shape"):
+            model.rtt(np.zeros(length), rng, size=10)
+        assert rng.bit_generator.state == before
+
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             LatencyModel(sigma_ns=-1.0)
