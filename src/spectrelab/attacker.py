@@ -153,17 +153,19 @@ class Session:
         iteration's last request timed, one wire.CHUNK at a time: yields
         each of ``wire.views(n, out)`` filled.  Batched, a view is a chunk
         of ``Victim.stream`` turned into round trips in place, and the
-        session counts the schedule's requests after the last view; per
+        session is charged as the victim is, before the first view; per
         request, it is filled one iteration at a time."""
         if n < 1:
             raise ValueError("a read needs at least one measurement")
         if self.batched:
             t = self.transport
             ct = t.victim.config.cycle_time_ns
+            counts = wire.schedule_counts(schedule, n)
             for view in t.victim.stream(schedule, n, out):
+                self.counters.update(counts)   # once: the batch has settled
+                counts = ()
                 view *= ct
                 yield t.latency.rtt(view, t.rng, size=len(view))
-            self.counters.update(wire.schedule_counts(schedule, n))
             return
         *steps, (timed_op, timed_arg) = schedule
         request, advance = self.request, wire.OP_ADVANCE_CLOCK
@@ -652,7 +654,5 @@ def value_threshold_search(session: Session, value_bits: int,
             lo = mid + 1
         else:
             hi = mid
-    if lo != hi:
-        raise ExtractionError("search did not converge to a single value")
     return ValueResult(value=lo, rounds=rounds,
                        requests_total=session.total_requests() - requests_before)

@@ -20,8 +20,6 @@ from .stats import HistogramSpec
 from .victim import VictimConfig
 from .wire import LatencyModel
 
-FIGURE_IDS = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig10")
-
 # sigma small enough that a 160-cycle (80 ns) gap shows up in a histogram
 _VISIBLE_SIGMA_NS = 20.0
 _VISIBLE_SPEC = HistogramSpec(bin_width_ns=10.0, smoothing_window=11)
@@ -158,6 +156,7 @@ def fig10(out_dir: str, seed: int, n: int = 200_000) -> None:
 
 _GENERATORS = {f.__name__: f for f in (fig3, fig4, fig5, fig6, fig7, fig8,
                                         fig10)}
+FIGURE_IDS = tuple(_GENERATORS)
 
 
 def generate(figure_id: str, out_dir: str, seed: int) -> None:

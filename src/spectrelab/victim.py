@@ -326,7 +326,7 @@ class Victim:
         their timed cycles and, if settled, (evict, keep, p_evict): the two
         forced trials' timed cycles and the download's eviction chance, with
         the clock already past the rest.  More than one download, a negative
-        one, or a clock advance not whole ns is refused first."""
+        one, or a clock advance negative or not whole ns is refused first."""
         if self.config.clock_mode != "virtual":
             raise ConfigError("batched execution needs the virtual clock")
         if n <= 0:
@@ -336,9 +336,9 @@ class Victim:
             raise ValueError("a batched schedule has at most one download")
         p_evict = (uarch.thrash_probability(downloads[0], self.config.thrash_lambda)
                    if downloads else None)
-        if not all(float(arg).is_integer() for op, arg in schedule
+        if not all(float(arg).is_integer() and arg >= 0 for op, arg in schedule
                    if op == OP_ADVANCE_CLOCK):
-            raise ValueError("a batched clock advance is whole ns")
+            raise ValueError("a batched clock advance is whole ns, not negative")
         self.counters.update(wire.schedule_counts(schedule, n))
         head: list[float] = []
         while len(head) < n:

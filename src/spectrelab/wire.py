@@ -38,19 +38,9 @@ OP_VALUE_CMP = 0x08
 OP_ADVANCE_CLOCK = 0x09
 OP_RESET = 0x0A
 
-OP_NAMES = {
-    OP_LEAK_CACHE: "LEAK_CACHE",
-    OP_LEAK_AVX: "LEAK_AVX",
-    OP_TRANSMIT_CACHE: "TRANSMIT_CACHE",
-    OP_TRANSMIT_AVX: "TRANSMIT_AVX",
-    OP_DOWNLOAD: "DOWNLOAD",
-    OP_ASLR_PROBE: "ASLR_PROBE",
-    OP_TIMING_FN: "TIMING_FN",
-    OP_VALUE_CMP: "VALUE_CMP",
-    OP_ADVANCE_CLOCK: "ADVANCE_CLOCK",
-    OP_RESET: "RESET",
-}
-VALID_OPCODES = frozenset(OP_NAMES)
+VALID_OPCODES = frozenset((
+    OP_LEAK_CACHE, OP_LEAK_AVX, OP_TRANSMIT_CACHE, OP_TRANSMIT_AVX, OP_DOWNLOAD,
+    OP_ASLR_PROBE, OP_TIMING_FN, OP_VALUE_CMP, OP_ADVANCE_CLOCK, OP_RESET))
 
 STATUS_OK = 0x00
 STATUS_BAD_OPCODE = 0x01
@@ -397,9 +387,6 @@ class LoopbackTransport:
         response, server_cycles = victim.handle_request(packet)
         return response, self.latency.rtt(
             server_cycles * victim.config.cycle_time_ns, self._draws)
-
-    def close(self) -> None:
-        pass
 
 
 class UDPTransport:

@@ -712,6 +712,18 @@ def test_batch_refuses_a_negative_download(entry):
     assert _untouched(pair.batch) == before
 
 
+@pytest.mark.parametrize("entry", BATCHED_READS)
+def test_batch_refuses_a_negative_clock_advance(entry):
+    # per request the advance raises ClockError; batched, it is refused with
+    # the fractional one, before the batch counts, steps a trial or draws
+    schedule = [(wire.OP_ADVANCE_CLOCK, -5), (wire.OP_TRANSMIT_AVX, 0)]
+    pair = _Pair(seed=1, latency=LatencyModel(base_ns=100_000.0, sigma_ns=20.0))
+    before = _untouched(pair.batch)
+    with pytest.raises(ValueError, match="whole ns"):
+        BATCHED_READS[entry](pair.batch, schedule, 100)
+    assert _untouched(pair.batch) == before
+
+
 # the entries that take an out array, and the schedule their reads run
 _VALUE_READ = wire.value_schedule(5, 10, 590_000)
 OUT_ENTRIES = {
@@ -756,6 +768,21 @@ def test_an_abandoned_batch_is_charged_whole(entry):
     assert abandoned.state.clock.now == drained.state.clock.now
     assert abandoned.state.avx.last_use_ns == drained.state.avx.last_use_ns
     assert drained.state.avx.last_use_ns is not None
+
+
+def test_an_abandoned_read_charges_its_session():
+    # the session is charged with its victim, when the batch settles, so a
+    # round-trip read stopped after its first view leaves both counters as
+    # a drained read does
+    schedule = wire.leak_schedule("avx", 130, 10, 0, 1_000_000)
+    abandoned, drained = (_Pair(seed=3).batch for _ in range(2))
+    next(abandoned._rtts(schedule, 3 * wire.CHUNK))
+    for _ in drained._rtts(schedule, 3 * wire.CHUNK):
+        pass
+    assert abandoned.counters == drained.counters
+    assert (abandoned.transport.victim.counters
+            == drained.transport.victim.counters)
+    assert abandoned.total_requests() == len(schedule) * 3 * wire.CHUNK
 
 
 def test_request_triple_is_its_packet():

@@ -62,6 +62,13 @@ class TestCodec:
         with pytest.raises(CodecError):
             encode_request(RequestPacket(0x7F, 0, 0))
 
+    def test_valid_opcodes_are_every_opcode(self):
+        # the set is written out by hand: it names every OP_ constant, and
+        # no two share a value
+        names = [name for name in vars(wire) if name.startswith("OP_")]
+        assert wire.VALID_OPCODES == {getattr(wire, name) for name in names}
+        assert len(wire.VALID_OPCODES) == len(names)
+
     @pytest.mark.parametrize("arg,nonce", [(2.5, 1), (1, 1.5), ("1", 1),
                                            (None, 1), (np.float64(3.0), 1)])
     def test_non_integer_field_is_a_codec_error(self, arg, nonce):
