@@ -24,8 +24,8 @@ import numpy as np
 from . import stats, wire
 from .stats import HistogramSpec
 from .victim import Victim, VictimConfig
-from .wire import (LoopbackTransport, RequestPacket, RequestTimeout,
-                   STATUS_BAD_ARG, STATUS_OK, UDPTransport, WireError)
+from .wire import (LoopbackTransport, RequestTimeout, STATUS_BAD_ARG,
+                   STATUS_OK, WireError)
 
 
 class CalibrationError(RuntimeError):
@@ -106,10 +106,6 @@ class Session:
         self.batched = batched and isinstance(transport, LoopbackTransport)
         self.counters: wire.Counts = wire.Counts()
         self._nonce = 0
-        # the library's transports take a plain (opcode, arg, nonce) triple;
-        # any other gets the named RequestPacket it may read fields from
-        self._named = not isinstance(transport, (LoopbackTransport,
-                                                 UDPTransport))
         self._wall_reset = False   # victim rejected ADVANCE_CLOCK; sleep instead
 
     # -- raw requests ----------------------------------------------------
@@ -117,8 +113,6 @@ class Session:
     def request(self, opcode: int, arg: int = 0):
         self._nonce = nonce = self._nonce + 1
         packet = (opcode, arg, nonce)
-        if self._named:
-            packet = RequestPacket._make(packet)
         retries = REQUEST_RETRIES
         while True:
             try:
@@ -154,13 +148,14 @@ class Session:
         each of ``wire.views(n, out)`` filled.  Batched, a view is a chunk
         of ``Victim.stream`` turned into round trips in place, and the
         session is charged as the victim is, before the first view; per
-        request, it is filled one iteration at a time."""
+        request, it is filled one iteration at a time.  Either way
+        ``wire.schedule_counts`` first refuses what the wire cannot carry."""
         if n < 1:
             raise ValueError("a read needs at least one measurement")
+        counts = wire.schedule_counts(schedule, n)
         if self.batched:
             t = self.transport
             ct = t.victim.config.cycle_time_ns
-            counts = wire.schedule_counts(schedule, n)
             for view in t.victim.stream(schedule, n, out):
                 self.counters.update(counts)   # once: the batch has settled
                 counts = ()
@@ -350,14 +345,6 @@ def calibrate(session: Session, plan: ExtractionPlan,
                        sigma_est_ns=sigma, samples_per_corner=n)
 
 
-def decide(rtts: np.ndarray, plan: ExtractionPlan, calib: Calibration) -> int:
-    """Map a transmit-time distribution to a bit; the fast side is 1."""
-    if plan.decision == "mode":
-        hist = stats.histogram(rtts, plan.histogram)
-        return stats.threshold_classify(hist.mode_ns(), calib)
-    return 1 if float(rtts.mean()) < calib.threshold_ns else 0
-
-
 def proportion_z(rtts: np.ndarray, threshold_ns: float) -> float:
     """Signed z-statistic of the fraction of samples on the fast side."""
     n = rtts.size
@@ -395,8 +382,9 @@ def leak_bit(session: Session, plan: ExtractionPlan, calib: Calibration,
     rtts = np.empty(n) if keep_samples or plan.decision == "mode" else None
     mean, var = session.drawn_moments(
         session.bit_schedule(plan, bit_index), n, rtts)
-    if plan.decision == "mode":
-        bit, z = decide(rtts, plan, calib), proportion_z(rtts, threshold)
+    if plan.decision == "mode":       # the fast side is 1
+        mode = stats.histogram(rtts, plan.histogram).mode_ns()
+        bit, z = stats.threshold_classify(mode, calib), proportion_z(rtts, threshold)
     else:
         bit, z = int(mean < threshold), mean_z(mean, var, n, threshold)
     return BitRead(bit=bit, confidence=z,

@@ -98,6 +98,8 @@ def cmd_leak(args) -> int:
         print("error: --start-bit is required for UDP targets",
               file=sys.stderr)
         return EXIT_CONFIG
+    if start < 0:
+        raise ValueError("--start-bit must be at least 0")
     if args.bits < 1:
         raise ValueError("--bits must be at least 1")
     plan = ExtractionPlan(channel=args.channel,

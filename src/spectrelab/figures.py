@@ -91,8 +91,7 @@ def fig6(out_dir: str, seed: int) -> None:
 def fig7(out_dir: str, seed: int, n: int = 100_000) -> None:
     """Per-bit histograms for the planted byte: eight extraction runs."""
     session = _session(seed, _VISIBLE_SIGMA_NS)
-    plan = ExtractionPlan(channel="cache", measurements_per_bit=n,
-                          histogram=_VISIBLE_SPEC)
+    plan = ExtractionPlan(channel="cache", measurements_per_bit=n)
     calib = attacker.calibrate(session, plan, n=n)
     secrets = session.transport.victim.config.secrets
     start = secrets.bitstream_length

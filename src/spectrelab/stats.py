@@ -15,6 +15,8 @@ from typing import Optional
 
 import numpy as np
 
+MAX_BINS = 1 << 20   # the most bins a histogram may have; more is refused
+
 
 @dataclass
 class HistogramSpec:
@@ -68,7 +70,8 @@ def histogram(samples, spec: Optional[HistogramSpec] = None) -> Histogram:
     """Binned counts plus a mass-preserving moving average.
 
     The auto-fitted range is padded by half a smoothing window on each side
-    so the convolution never pushes counts off the edge.
+    so the convolution never pushes counts off the edge.  More than
+    MAX_BINS bins is refused (ValueError).
     """
     if spec is None:
         spec = HistogramSpec()
@@ -81,6 +84,9 @@ def histogram(samples, spec: Optional[HistogramSpec] = None) -> Histogram:
     else:
         lo, hi = spec.range_ns
     nbins = max(1, int(round((hi - lo) / spec.bin_width_ns)))
+    if nbins > MAX_BINS:
+        raise ValueError(f"{nbins} histogram bins of {spec.bin_width_ns:g} ns; "
+                         f"at most {MAX_BINS} are allowed")
     edges = lo + spec.bin_width_ns * np.arange(nbins + 1)
     counts, _ = np.histogram(rtts, bins=edges)
     return Histogram(edges, counts, smooth(counts, w))

@@ -29,6 +29,7 @@ from .wire import (OP_ADVANCE_CLOCK, OP_ASLR_PROBE, OP_DOWNLOAD, OP_LEAK_AVX,
 
 DEFAULT_HANDLER_CYCLES = 1000   # fixed per-request work surrounding a gadget
 DEFAULT_PER_REQUEST_NS = 1000.0  # virtual-clock advance per request
+MAX_CYCLES = 1 << 53   # past it a float64 no longer holds every whole number
 
 
 # Stand-ins for the victim's generator in a batch's trial iterations: the
@@ -96,6 +97,10 @@ class VictimConfig:
             raise ConfigError("valid_aslr_offset outside the probe space")
         if not 0 <= self.mitigation_noise_sigma_ns < math.inf:
             raise ConfigError("mitigation noise sigma must be finite and >= 0")
+        if any(abs(c) > MAX_CYCLES for c in (
+                self.hit_cycles, self.miss_cycles, self.warm_cycles,
+                self.max_penalty_cycles, self.handler_cycles)):
+            raise ConfigError("a cycle count must be at most 2^53 in size")
         if self.miss_cycles <= self.hit_cycles:
             raise ConfigError("miss_cycles must exceed hit_cycles")
         if not (0 < self.cycle_time_ns < math.inf
@@ -248,7 +253,7 @@ class Victim:
     # batch is charged once, when it settles: _settle counts it and moves
     # the clock past the rest by the settled iteration's own step, exact
     # because per_request_ns (VictimConfig.validate) and every clock
-    # advance (_settle, as on the wire) are whole ns.
+    # advance (wire.schedule_counts, on either path) are whole ns.
 
     def _run_batch(self, schedule: list, n: int) -> np.ndarray:
         cycles = np.empty(n)
@@ -325,8 +330,8 @@ class Victim:
         """Count n iterations and step them until the state settles; returns
         their timed cycles and, if settled, (evict, keep, p_evict): the two
         forced trials' timed cycles and the download's eviction chance, with
-        the clock already past the rest.  More than one download, a negative
-        one, or a clock advance negative or not whole ns is refused first."""
+        the clock already past the rest.  More than one download is refused
+        first, then what the wire cannot carry (wire.schedule_counts)."""
         if self.config.clock_mode != "virtual":
             raise ConfigError("batched execution needs the virtual clock")
         if n <= 0:
@@ -334,12 +339,9 @@ class Victim:
         downloads = [arg for op, arg in schedule if op == OP_DOWNLOAD]
         if len(downloads) > 1:
             raise ValueError("a batched schedule has at most one download")
+        self.counters.update(wire.schedule_counts(schedule, n))  # or refuses
         p_evict = (uarch.thrash_probability(downloads[0], self.config.thrash_lambda)
                    if downloads else None)
-        if not all(float(arg).is_integer() and arg >= 0 for op, arg in schedule
-                   if op == OP_ADVANCE_CLOCK):
-            raise ValueError("a batched clock advance is whole ns, not negative")
-        self.counters.update(wire.schedule_counts(schedule, n))
         head: list[float] = []
         while len(head) < n:
             start = self._snapshot()

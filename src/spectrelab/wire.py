@@ -121,7 +121,13 @@ class Counts(Counter):
 
 
 def schedule_counts(schedule: list, n: int) -> Counter:
-    """Requests per opcode in n iterations of ``schedule``."""
+    """Requests per opcode in n iterations of ``schedule``; refuses first a
+    negative download, or a clock advance negative or not whole ns."""
+    for op, arg in schedule:
+        if op == OP_DOWNLOAD and arg < 0:
+            raise ValueError("negative transfer size")
+        if op == OP_ADVANCE_CLOCK and not (arg >= 0 and float(arg).is_integer()):
+            raise ValueError("a clock advance is whole ns, not negative")
     return Counter({op: k * n for op, k in Counter(op for op, _ in schedule).items()})
 
 

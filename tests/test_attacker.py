@@ -426,14 +426,6 @@ class TestSessionPlumbing:
         per_layer = 3 * (plan.mistrain_count + 3)
         assert calls == dict.fromkeys(calls, per_layer)
 
-    def test_decision_symmetry(self):
-        calib = Calibration(100.0, 200.0, 150.0, 5.0)
-        plan = ExtractionPlan()
-        fast = np.full(10, 120.0)
-        slow = np.full(10, 180.0)
-        assert attacker.decide(fast, plan, calib) == 1
-        assert attacker.decide(slow, plan, calib) == 0
-
     @pytest.mark.parametrize("channel", ["cache", "avx"])
     def test_batched_collect_allocates_one_output(self, channel):
         # the batch path writes one float64 per sample and works in
@@ -499,7 +491,7 @@ class _CodecTransport:
 
     def request(self, packet):
         response, cycles = self.victim.handle_request(
-            wire.decode_request(packet.encode()))
+            wire.decode_request(wire.encode_request(packet)))
         rtt = 2 * 10_000.0 + cycles * self.victim.config.cycle_time_ns
         return wire.decode_response(response.encode()), rtt
 
@@ -541,6 +533,23 @@ class TestRemoteLayout:
         calib = calibrate(session, ExtractionPlan(), n=5, channel="aslr")
         assert calib.mean_hit_ns == 2 * 10_000 + 1040 * 0.5
         assert calib.mean_miss_ns == 2 * 10_000 + 1200 * 0.5
+
+    def test_a_foreign_transport_gets_the_plain_triple(self):
+        # every transport is sent the same request: the plain (opcode, arg,
+        # nonce) tuple, clock advances included
+        sent = []
+
+        class Recording(_CodecTransport):
+            def request(self, packet):
+                sent.append(packet)
+                return super().request(packet)
+
+        session = Session(Recording(Victim(VictimConfig(), seed=0)))
+        schedule = wire.leak_schedule("avx", 130, 2, 0, 1_000.0)
+        session._collect(schedule, 3)
+        assert {type(packet) for packet in sent} == {tuple}
+        assert sent == [(op, arg, nonce) for nonce, (op, arg) in
+                        enumerate(schedule * 3, start=1)]
 
     def test_break_recovers_the_top_of_a_31_bit_space(self):
         victim = Victim(VictimConfig(valid_aslr_offset=(1 << 31) - 1,

@@ -178,6 +178,48 @@ class TestLeakCommand:
                        "--out", str(tmp_path / "x"))
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("key,value", [
+        ("miss_cycles", "9" * 20), ("miss_cycles", "1" + "0" * 400),
+        ("warm_cycles", "1" + "0" * 400), ("handler_cycles", "1" + "0" * 400)],
+        ids=["miss-1e20", "miss-1e400", "warm-1e400", "handler-1e400"])
+    def test_cycle_count_past_a_float64_exit_code(self, tmp_path, key, value):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"[timing]\n{key} = {value}\n")
+        code = run_cli("leak", "loopback", "--config", str(bad), "--preset",
+                       "noiseless", "--n", "200", "--bits", "2",
+                       "--out", str(tmp_path / "x"))
+        assert code == cli.EXIT_CONFIG
+
+    def test_unbinnable_samples_exit_code(self, tmp_path):
+        # a valid config whose hit and miss round trips lie 9e18 ns apart:
+        # a bit's histogram would need 9e15 bins of 1000 ns, and is refused
+        bad = tmp_path / "far.cfg"
+        bad.write_text("[timing]\ncycle_time_ns = 1000\n"
+                       f"miss_cycles = {2**53}\n")
+        code = run_cli("leak", "loopback", "--config", str(bad), "--preset",
+                       "noiseless", "--n", "200", "--bits", "2",
+                       "--out", str(tmp_path / "x"))
+        assert code == cli.EXIT_CONFIG
+
+    def test_negative_start_bit_exit_code(self, tmp_path):
+        # refused before any target is contacted: a loopback read at -1
+        # would run in bounds and read nothing, a UDP one sends nothing
+        code = run_cli("leak", "loopback", "--start-bit", "-1", "--preset",
+                       "noiseless", "--n", "200", "--bits", "2",
+                       "--out", str(tmp_path / "loop"))
+        assert code == cli.EXIT_CONFIG
+        assert not (tmp_path / "loop").exists()
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            sock.bind(("127.0.0.1", 0))
+            sock.setblocking(False)
+            port = sock.getsockname()[1]
+            code = run_cli("leak", f"127.0.0.1:{port}", "--start-bit", "-1",
+                           "--n", "10", "--out", str(tmp_path / "udp"))
+            assert code == cli.EXIT_CONFIG
+            with pytest.raises(BlockingIOError):
+                sock.recv(wire.PACKET_LEN)
+        assert not (tmp_path / "udp").exists()
+
 
 class TestAslrCommand:
     def test_recovers_offset(self, tmp_path):

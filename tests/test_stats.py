@@ -62,6 +62,18 @@ class TestHistogram:
         with pytest.raises(ValueError):
             stats.histogram(np.array([]))
 
+    def test_bin_count_is_bounded(self):
+        # refused before the bins are allocated: 1e20 ns of samples in
+        # 1000 ns bins would take 355 PiB
+        width = HistogramSpec().bin_width_ns
+        with pytest.raises(ValueError, match="histogram bins"):
+            stats.histogram(np.array([0.0, 1e20]))
+        spec = HistogramSpec(range_ns=(0.0, (stats.MAX_BINS + 1) * width))
+        with pytest.raises(ValueError, match="histogram bins"):
+            stats.histogram(np.array([1.0]), spec)
+        spec = HistogramSpec(range_ns=(0.0, stats.MAX_BINS * width))
+        assert stats.histogram(np.array([1.0]), spec).counts.size == stats.MAX_BINS
+
     @given(st.lists(st.floats(min_value=0, max_value=1e6,
                               allow_nan=False), min_size=1, max_size=500))
     def test_mass_conservation_property(self, values):

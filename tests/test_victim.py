@@ -156,6 +156,18 @@ class TestDispatch:
         for step in (0, 5, 1000.0):
             VictimConfig(per_request_ns=step).validate()
 
+    @pytest.mark.parametrize("key", ["hit_cycles", "miss_cycles",
+                                     "warm_cycles", "max_penalty_cycles",
+                                     "handler_cycles"])
+    def test_cycle_counts_fit_a_float64(self, key):
+        # a gadget's cycles are floats, which hold every whole number up to
+        # 2^53 in size exactly; past that, 1e400 cannot be converted at all
+        for value in (2**53 + 1, -(2**53 + 1), 10**400):
+            with pytest.raises(ConfigError, match=r"2\^53"):
+                VictimConfig(**{key: value}).validate()
+        limit = -2**53 if key == "hit_cycles" else 2**53
+        VictimConfig(**{key: limit}).validate()
+
 
 class TestDatagrams:
     def test_empty_datagram_dropped(self):
@@ -661,8 +673,8 @@ def test_batch_refuses_two_downloads(entry):
     assert pair.slow.counters[wire.OP_DOWNLOAD] == 4000
 
 
-# a clock advance of 2.5 ns: per request the session sends int(2.5), the
-# batch would add 2.5 per iteration, so every batched entry refuses it
+# a clock advance of 2.5 ns: the wire carries whole ns, so every entry
+# refuses it, batched here and per request below
 HALF_NS = [(wire.OP_ADVANCE_CLOCK, 2.5), (wire.OP_TRANSMIT_AVX, 0)]
 HALF_NS_ENTRIES = {
     "_collect": lambda s, n: s._collect(HALF_NS, n),
@@ -714,14 +726,38 @@ def test_batch_refuses_a_negative_download(entry):
 
 @pytest.mark.parametrize("entry", BATCHED_READS)
 def test_batch_refuses_a_negative_clock_advance(entry):
-    # per request the advance raises ClockError; batched, it is refused with
-    # the fractional one, before the batch counts, steps a trial or draws
+    # refused with the fractional one, on either path (per request below),
+    # before the batch counts, steps a trial or draws
     schedule = [(wire.OP_ADVANCE_CLOCK, -5), (wire.OP_TRANSMIT_AVX, 0)]
     pair = _Pair(seed=1, latency=LatencyModel(base_ns=100_000.0, sigma_ns=20.0))
     before = _untouched(pair.batch)
     with pytest.raises(ValueError, match="whole ns"):
         BATCHED_READS[entry](pair.batch, schedule, 100)
     assert _untouched(pair.batch) == before
+
+
+# schedules the wire cannot carry, each with the refusal it meets
+UNCARRIED = {
+    "negative download": (wire.value_schedule(5, 10, -5),
+                          "negative transfer size"),
+    "negative advance": ([(wire.OP_ADVANCE_CLOCK, -5),
+                          (wire.OP_TRANSMIT_AVX, 0)], "whole ns"),
+    "fractional advance": (HALF_NS, "whole ns"),
+}
+
+
+@pytest.mark.parametrize("uncarried", UNCARRIED)
+@pytest.mark.parametrize("entry", ["_collect", "sample_moments", "moments",
+                                   "drawn_moments"])
+def test_per_request_refuses_what_the_wire_cannot_carry(entry, uncarried):
+    # a per-request read runs the batch's rule, before its first request:
+    # no request is sent, counted or timed, and the clock does not move
+    schedule, message = UNCARRIED[uncarried]
+    pair = _Pair(seed=1, latency=LatencyModel(base_ns=100_000.0, sigma_ns=20.0))
+    before = _untouched(pair.slow)
+    with pytest.raises(ValueError, match=message):
+        BATCHED_READS[entry](pair.slow, schedule, 100)
+    assert _untouched(pair.slow) == before
 
 
 # the entries that take an out array, and the schedule their reads run

@@ -222,9 +222,9 @@ def _side(session) -> tuple:
 
 class CodecTransport:
     """``LoopbackTransport`` with every frame encoded and decoded on the
-    way, so the packets' codec is on the digested path.  The request is
-    encoded with ``wire.encode_request``, which takes a ``RequestPacket``
-    or the plain (opcode, arg, nonce) triple it names."""
+    way, so the packets' codec is on the digested path.  The session sends
+    it the plain (opcode, arg, nonce) triple, which ``wire.encode_request``
+    encodes."""
 
     def __init__(self, victim, latency, rng):
         self.victim, self.latency, self.rng = victim, latency, rng
