@@ -13,9 +13,10 @@ import argparse
 
 import numpy as np
 
-from spectrelab.attacker import Session, break_aslr, calibrate, ExtractionPlan
-from spectrelab.victim import Victim, VictimConfig
-from spectrelab.wire import LatencyModel, LoopbackTransport
+from spectrelab.attacker import (ExtractionPlan, break_aslr, calibrate,
+                                 loopback_session)
+from spectrelab.victim import VictimConfig
+from spectrelab.wire import LatencyModel
 
 
 def main():
@@ -32,10 +33,7 @@ def main():
     cfg = VictimConfig(
         valid_aslr_offset=offset, aslr_space_bits=args.space_bits,
         latency=LatencyModel(base_ns=100_000.0, sigma_ns=args.sigma_ns))
-    seq = np.random.SeedSequence(args.seed)
-    v_rng, a_rng = (np.random.default_rng(s) for s in seq.spawn(2))
-    victim = Victim(cfg, rng=v_rng)
-    session = Session(LoopbackTransport(victim, cfg.latency, a_rng))
+    session = loopback_session(cfg, args.seed)
 
     calib = calibrate(session, ExtractionPlan(), n=1_000_000, channel="aslr")
     result = break_aslr(session, args.space_bits, args.n, calib=calib)

@@ -11,12 +11,11 @@ Run:  python3 demos/leak_byte.py [--channel cache|avx] [--n 200000]
 
 import argparse
 
-import numpy as np
-
-from spectrelab.attacker import ExtractionPlan, Session, calibrate, leak_range
+from spectrelab.attacker import (ExtractionPlan, calibrate, leak_range,
+                                 loopback_session)
 from spectrelab.uarch import SecretStore
-from spectrelab.victim import Victim, VictimConfig
-from spectrelab.wire import LatencyModel, LoopbackTransport
+from spectrelab.victim import VictimConfig
+from spectrelab.wire import LatencyModel
 
 
 def main():
@@ -33,10 +32,7 @@ def main():
     cfg = VictimConfig(
         secrets=SecretStore.with_secret(b"\x00" * 16, secret),
         latency=LatencyModel(base_ns=100_000.0, sigma_ns=args.sigma_ns))
-    seq = np.random.SeedSequence(args.seed)
-    v_rng, a_rng = (np.random.default_rng(s) for s in seq.spawn(2))
-    victim = Victim(cfg, rng=v_rng)
-    session = Session(LoopbackTransport(victim, cfg.latency, a_rng))
+    session = loopback_session(cfg, args.seed)
 
     start = cfg.secrets.bitstream_length          # first secret bit
     plan = ExtractionPlan(channel=args.channel,

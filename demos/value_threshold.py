@@ -13,12 +13,10 @@ Run:  python3 demos/value_threshold.py [--secret 31337]
 
 import argparse
 
-import numpy as np
-
-from spectrelab.attacker import (ExtractionPlan, Session, calibrate,
+from spectrelab.attacker import (ExtractionPlan, calibrate, loopback_session,
                                  value_threshold_search)
-from spectrelab.victim import Victim, VictimConfig
-from spectrelab.wire import LatencyModel, LoopbackTransport
+from spectrelab.victim import VictimConfig
+from spectrelab.wire import LatencyModel
 
 
 def main():
@@ -33,10 +31,7 @@ def main():
     cfg = VictimConfig(
         value_secret=args.secret, value_bits=16,
         latency=LatencyModel(base_ns=100_000.0, sigma_ns=args.sigma_ns))
-    seq = np.random.SeedSequence(args.seed)
-    v_rng, a_rng = (np.random.default_rng(s) for s in seq.spawn(2))
-    victim = Victim(cfg, rng=v_rng)
-    session = Session(LoopbackTransport(victim, cfg.latency, a_rng))
+    session = loopback_session(cfg, args.seed)
 
     plan = ExtractionPlan(measurements_per_bit=args.n)
     calib = calibrate(session, plan, n=1_000_000)

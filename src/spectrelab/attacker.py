@@ -147,11 +147,9 @@ class Session:
         iteration's last request timed, one wire.CHUNK at a time: yields
         each of ``wire.views(n, out)`` filled.  Batched, a view is a chunk
         of ``Victim.stream`` turned into round trips in place, and the
-        session is charged as the victim is, before the first view; per
-        request, it is filled one iteration at a time.  Either way
-        ``wire.schedule_counts`` first refuses what the wire cannot carry."""
-        if n < 1:
-            raise ValueError("a read needs at least one measurement")
+        session is charged with the victim, when the batch settles (first
+        view); per request, it is filled one iteration at a time.  Either
+        way ``wire.schedule_counts`` first admits n and the schedule."""
         counts = wire.schedule_counts(schedule, n)
         if self.batched:
             t = self.transport
@@ -252,9 +250,10 @@ class Session:
         settled round trip is one of two bases, by its eviction draw, plus
         noise g z, so each chunk's shifted sums follow from z's sum, sum of
         squares and sum over the evictions, and their count (Chan, Golub &
-        LeVeque 1983)."""
+        LeVeque 1983); charged as ``_rtts`` is, at the first view."""
         if out is not None or not self._reducible(n):
             return _moments(self._rtts(schedule, n, out))
+        counts = wire.schedule_counts(schedule, n)
         t, lat = self.transport, self.transport.latency
         ct, base2 = t.victim.config.cycle_time_ns, 2.0 * lat.base_ns
         gauss = lat.distribution == "gaussian" and lat.sigma_ns > 0
@@ -265,6 +264,7 @@ class Session:
                  else lat.noise(t.rng, len(view)))   # noise() draws g z
             d = np.maximum(view[:h] * ct + base2 + g * z[:h], 0.0)  # as _rtts
             if shift is None:     # the first round trip; the bases keep, evict
+                self.counters.update(counts)     # the batch has settled
                 bases = np.array([0.0, 1.0]) * (evict - keep) + keep
                 bases = bases * ct + base2
                 shift = float(d[0] if h else max(
@@ -278,7 +278,6 @@ class Session:
             total_sq += (float(d @ d) + e * a * a + (k - e) * b * b
                          + 2.0 * g * (a * smz + b * (sz - smz))
                          + g * g * float(z @ z))
-        self.counters.update(wire.schedule_counts(schedule, n))
         return _finish(n, shift, total, total_sq)
 
 

@@ -249,11 +249,12 @@ class Victim:
     # every request draws one normal; batched, only the timed ones do, one
     # chunk at a time after that chunk's eviction draws.  One draw per
     # iteration is one download per iteration, so _settle refuses a
-    # schedule with more than one before it counts or draws anything.  A
-    # batch is charged once, when it settles: _settle counts it and moves
-    # the clock past the rest by the settled iteration's own step, exact
-    # because per_request_ns (VictimConfig.validate) and every clock
-    # advance (wire.schedule_counts, on either path) are whole ns.
+    # schedule with more than one, then runs every read's one admission
+    # (wire.schedule_counts), before it counts or draws anything.  A batch
+    # is charged once, when it settles: _settle counts it (a session reading
+    # it is charged at its first view) and moves the clock past the rest by
+    # the settled iteration's own step, exact because per_request_ns
+    # (VictimConfig.validate) and every clock advance are whole ns.
 
     def _run_batch(self, schedule: list, n: int) -> np.ndarray:
         cycles = np.empty(n)
@@ -290,10 +291,9 @@ class Victim:
         evict), 0.0 where it keeps (keep).  Where evict == keep, view[h:]
         is unwritten and no reader may depend on it: drawn_moments' first
         shift indexes its two bases by view[0], which are then equal.  The
-        batch is counted, and its clock moved, when it settles."""
+        batch is counted, its clock moved, as it settles, before any view."""
         views = wire.views(n, out)         # checks out before any count
-        head, settled = self._settle(schedule, n)
-        evict, keep, p_evict = settled or (0.0, 0.0, None)
+        head, (evict, keep, p_evict) = self._settle(schedule, n)
         for i, view in zip(range(0, n, wire.CHUNK), views):
             part = head[i:i + view.shape[0]]
             view[:len(part)] = part
@@ -309,33 +309,30 @@ class Victim:
         """``_run_batch`` without mitigation noise, reduced to the mean of
         the n timed cycles and the sum of their squared deviations: the
         same state, counters and draws, never the n-long array."""
-        head, settled = self._settle(schedule, n)
-        groups = [(c, 1) for c in head]        # (timed cycles, iterations)
-        if settled:              # one eviction draw per remaining iteration
-            (evict, keep, p_evict), k, e = settled, n - len(head), 0
-            if p_evict is not None:
-                for view in wire.views(k):
-                    if evict == keep:      # nothing reads e: pass its draws
-                        _pass_uniforms(self.rng, view)
-                    else:
-                        e += int(np.count_nonzero(self.rng.random(out=view) < p_evict))
-            groups += [(evict, e), (keep, k - e)]
+        head, (evict, keep, p_evict) = self._settle(schedule, n)
+        k, e = n - len(head), 0  # one eviction draw per settled iteration
+        if p_evict is not None:
+            for view in wire.views(k):
+                if evict == keep:          # nothing reads e: pass its draws
+                    _pass_uniforms(self.rng, view)
+                else:
+                    e += int(np.count_nonzero(self.rng.random(out=view) < p_evict))
+        # (timed cycles, iterations); an unsettled batch's last two are empty
+        groups = [(c, 1) for c in head] + [(evict, e), (keep, k - e)]
         # summed about a timed value, so a constant batch reads exactly
         c0 = next(c for c, m in groups if m)
         total = sum((c - c0) * m for c, m in groups)
         total_sq = sum((c - c0) ** 2 * m for c, m in groups)
         return c0 + total / n, max(0.0, total_sq - total * total / n)
 
-    def _settle(self, schedule: list, n: int) -> tuple[list, Optional[tuple]]:
+    def _settle(self, schedule: list, n: int) -> tuple[list, tuple]:
         """Count n iterations and step them until the state settles; returns
-        their timed cycles and, if settled, (evict, keep, p_evict): the two
-        forced trials' timed cycles and the download's eviction chance, with
-        the clock already past the rest.  More than one download is refused
-        first, then what the wire cannot carry (wire.schedule_counts)."""
+        their timed cycles and (evict, keep, p_evict): the two forced trials'
+        timed cycles and the download's eviction chance, clock past the rest,
+        or (0.0, 0.0, None) if none settled.  More than one download is
+        refused first, then all wire.schedule_counts refuses, n < 1 too."""
         if self.config.clock_mode != "virtual":
             raise ConfigError("batched execution needs the virtual clock")
-        if n <= 0:
-            raise ValueError("batch size must be positive")
         downloads = [arg for op, arg in schedule if op == OP_DOWNLOAD]
         if len(downloads) > 1:
             raise ValueError("a batched schedule has at most one download")
@@ -357,7 +354,7 @@ class Victim:
                     st.avx.last_use_ns = st.clock.now - (end[0] - end[-1])
                 return head, (evict, keep, p_evict)
             head.append(self._iterate(schedule, self.rng))
-        return head, None
+        return head, (0.0, 0.0, None)
 
     def _iterate(self, schedule: list, rng) -> float:
         """One iteration through the gadgets; returns the timed cycles."""

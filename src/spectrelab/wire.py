@@ -79,6 +79,8 @@ def value_schedule(guess: int, mistrain: int, reset_bytes: int) -> list:
 
 def aslr_schedule(lo: int, hi: int, mistrain: int) -> list:
     """Probe the empty range x m (training), probe [lo, hi), time."""
+    if (lo | hi) >> 32:              # negative, or past the probe's 32 bits
+        raise ValueError("a probe bound is outside [0, 2^32)")
     return ([(OP_ASLR_PROBE, 0)] * mistrain
             + [(OP_ASLR_PROBE, (lo << 32) | hi), (OP_TIMING_FN, 0)])
 
@@ -121,13 +123,19 @@ class Counts(Counter):
 
 
 def schedule_counts(schedule: list, n: int) -> Counter:
-    """Requests per opcode in n iterations of ``schedule``; refuses first a
-    negative download, or a clock advance negative or not whole ns."""
+    """Requests per opcode in n iterations of ``schedule``, every read's one
+    admission: refuses first n < 1, a negative download, a clock advance
+    negative or not whole ns, and any other arg no request frame carries."""
+    if n < 1:
+        raise ValueError("a read needs at least one measurement")
     for op, arg in schedule:
         if op == OP_DOWNLOAD and arg < 0:
             raise ValueError("negative transfer size")
         if op == OP_ADVANCE_CLOCK and not (arg >= 0 and float(arg).is_integer()):
             raise ValueError("a clock advance is whole ns, not negative")
+        if not ((op == OP_ADVANCE_CLOCK or isinstance(arg, (int, np.integer)))
+                and 0 <= arg <= _U64_MASK):
+            raise ValueError(f"arg {arg!r} is not an integer in [0, 2^64)")
     return Counter({op: k * n for op, k in Counter(op for op, _ in schedule).items()})
 
 

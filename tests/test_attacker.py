@@ -466,6 +466,50 @@ class TestSessionPlumbing:
         assert z == 0.0
 
 
+class _Flaky:
+    """A transport that times out ``timeouts`` times, then answers each
+    request with ``nonce_offset`` added to its nonce; records every send."""
+
+    def __init__(self, timeouts, nonce_offset=0):
+        self.timeouts, self.nonce_offset, self.sent = timeouts, nonce_offset, []
+
+    def request(self, packet):
+        self.sent.append(packet)
+        if self.timeouts:
+            self.timeouts -= 1
+            raise wire.RequestTimeout("no response")
+        response = wire.ResponsePacket(wire.STATUS_OK,
+                                       packet[2] + self.nonce_offset)
+        return response, 20_000.0
+
+
+class TestResend:
+    def test_a_request_is_resent_until_it_is_answered(self):
+        # REQUEST_RETRIES resends, each with the request's own nonce; the
+        # request is counted once, when it is answered
+        transport = _Flaky(attacker.REQUEST_RETRIES)
+        session = Session(transport)
+        response, rtt = session.request(wire.OP_RESET)
+        assert (response.nonce, rtt) == (1, 20_000.0)
+        assert transport.sent == [(wire.OP_RESET, 0, 1)] * 4
+        assert session.counters == {wire.OP_RESET: 1}
+        session.request(wire.OP_TIMING_FN)      # the next request, a new nonce
+        assert transport.sent[-1] == (wire.OP_TIMING_FN, 0, 2)
+
+    def test_a_timeout_past_the_retries_propagates_uncounted(self):
+        transport = _Flaky(attacker.REQUEST_RETRIES + 1)
+        session = Session(transport)
+        with pytest.raises(wire.RequestTimeout):
+            session.request(wire.OP_RESET)
+        assert len(transport.sent) == attacker.REQUEST_RETRIES + 1
+        assert session.total_requests() == 0
+
+    def test_a_reply_to_another_nonce_is_a_wire_error(self):
+        session = Session(_Flaky(0, nonce_offset=1))
+        with pytest.raises(wire.WireError, match="nonce mismatch"):
+            session.request(wire.OP_RESET)
+
+
 class TestAvxWaitOnTheWire:
     @pytest.mark.parametrize("batched", [True, False])
     def test_fractional_wait_leaves_the_same_clock(self, batched):
@@ -533,6 +577,18 @@ class TestRemoteLayout:
         calib = calibrate(session, ExtractionPlan(), n=5, channel="aslr")
         assert calib.mean_hit_ns == 2 * 10_000 + 1040 * 0.5
         assert calib.mean_miss_ns == 2 * 10_000 + 1200 * 0.5
+
+    @pytest.mark.parametrize("remote", [True, False])
+    def test_a_probe_bound_past_32_bits_sends_nothing(self, remote):
+        # (0, 2^32) would pack as the empty range [1, 0) and read a miss
+        session, victim = self._session()
+        if not remote:
+            session = attacker.loopback_session(victim.config, seed=0)
+            victim = session.transport.victim
+        with pytest.raises(ValueError, match=r"outside \[0, 2\^32\)"):
+            session.collect_aslr(0, 1 << 32, 5)
+        assert victim.total_requests() == 0 == session.total_requests()
+        assert victim.state.clock.now == 0
 
     def test_a_foreign_transport_gets_the_plain_triple(self):
         # every transport is sent the same request: the plain (opcode, arg,

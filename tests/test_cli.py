@@ -221,6 +221,36 @@ class TestLeakCommand:
         assert not (tmp_path / "udp").exists()
 
 
+    @pytest.mark.parametrize("start, bits", [(1 << 65, 2),
+                                             ((1 << 64) - 1, 2),
+                                             (1 << 64, 1)])
+    def test_leak_range_past_64_bits_exit_code(self, tmp_path, start, bits):
+        # a bit index is a request frame's 64-bit arg: a range reaching past
+        # 2^64 is refused before any target is contacted, where a loopback
+        # victim would wrap the index and a UDP read fail partway
+        argv = ("--start-bit", str(start), "--bits", str(bits))
+        code = run_cli("leak", "loopback", *argv, "--preset", "noiseless",
+                       "--n", "50", "--out", str(tmp_path / "loop"))
+        assert code == cli.EXIT_CONFIG
+        assert not (tmp_path / "loop").exists()
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            sock.bind(("127.0.0.1", 0))
+            sock.setblocking(False)
+            port = sock.getsockname()[1]
+            code = run_cli("leak", f"127.0.0.1:{port}", *argv, "--n", "10",
+                           "--out", str(tmp_path / "udp"))
+            assert code == cli.EXIT_CONFIG
+            with pytest.raises(BlockingIOError):
+                sock.recv(wire.PACKET_LEN)
+        assert not (tmp_path / "udp").exists()
+
+    def test_leak_range_ending_at_2_to_the_64_runs(self, tmp_path):
+        code = run_cli("leak", "loopback", "--start-bit", str((1 << 64) - 2),
+                       "--bits", "2", "--preset", "noiseless", "--n", "50",
+                       "--out", str(tmp_path / "loop"))
+        assert code == cli.EXIT_OK
+
+
 class TestAslrCommand:
     def test_recovers_offset(self, tmp_path):
         out = tmp_path / "aslr"

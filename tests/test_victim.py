@@ -760,6 +760,56 @@ def test_per_request_refuses_what_the_wire_cannot_carry(entry, uncarried):
     assert _untouched(pair.slow) == before
 
 
+class _CodecLoopback(LoopbackTransport):
+    """A loopback that sends every request through its frame, as a remote
+    target's transport does; sessions drive it one request at a time."""
+
+    def request(self, packet):
+        return super().request(wire.decode_request(wire.encode_request(packet)))
+
+
+def _three_paths(**overrides):
+    """Identically seeded sessions on the three read paths: batched,
+    per-request loopback, and per request through the codec."""
+    pair = _Pair(seed=1, **overrides)
+    victim = Victim(VictimConfig(**overrides), seed=1)
+    codec = Session(_CodecLoopback(victim, victim.config.latency,
+                                   np.random.default_rng(1)), batched=False)
+    return {"batched": pair.batch, "per request": pair.slow, "codec": codec}
+
+
+# schedules carrying an arg no request frame carries
+UNFRAMED = {
+    "arg of 2^64": wire.leak_schedule("cache", 1 << 64, 10, 0, 590_000),
+    "leak index -1": wire.leak_schedule("cache", -1, 10, 0, 590_000),
+    "leak index 5.0": [(wire.OP_LEAK_CACHE, 5.0), (wire.OP_TRANSMIT_CACHE, 0)],
+}
+
+
+@pytest.mark.parametrize("unframed", UNFRAMED)
+@pytest.mark.parametrize("entry", ["_collect", "sample_moments", "moments",
+                                   "drawn_moments"])
+def test_every_path_refuses_an_arg_no_frame_carries(entry, unframed):
+    # one admission (wire.schedule_counts) on all three paths, with one
+    # error, before any request, count, trial step or draw; on loopback the
+    # victim would wrap such an index, and the codec would refuse it only
+    # at its first send
+    sessions = _three_paths(latency=LatencyModel(base_ns=100_000.0,
+                                                 sigma_ns=20.0))
+    for session in sessions.values():
+        before = _untouched(session)
+        with pytest.raises(ValueError, match=r"not an integer in \[0, 2\^64\)"):
+            BATCHED_READS[entry](session, UNFRAMED[unframed], 100)
+        assert _untouched(session) == before
+    # the largest arg a frame carries runs on every path alike
+    schedule = wire.leak_schedule("cache", (1 << 64) - 1, 10, 0, 590_000)
+    reads = [BATCHED_READS[entry](s, schedule, 3) for s in sessions.values()]
+    counts = [s.counters for s in sessions.values()]
+    assert counts[0] == counts[1] == counts[2] != {}
+    if entry == "_collect":    # the two per-request paths draw alike
+        assert reads[1].tolist() == reads[2].tolist()
+
+
 # the entries that take an out array, and the schedule their reads run
 _VALUE_READ = wire.value_schedule(5, 10, 590_000)
 OUT_ENTRIES = {
@@ -785,6 +835,21 @@ def test_out_of_another_shape_is_refused(entry, shape):
     # the same read into an out of shape (n,) runs
     OUT_ENTRIES[entry](pair.batch, np.zeros(10))
     assert pair.batch.transport.victim.counters[wire.OP_DOWNLOAD] == 10
+
+
+def test_a_zero_read_is_refused_by_the_one_admission():
+    # n < 1 is the schedule rule's to refuse, for a session and a victim
+    with pytest.raises(ValueError, match="at least one measurement"):
+        wire.schedule_counts([(wire.OP_TRANSMIT_CACHE, 0)], 0)
+    pair = _Pair(seed=1)
+    for read in (lambda: pair.batch._collect(_VALUE_READ, 0),
+                 lambda: pair.slow._collect(_VALUE_READ, 0),
+                 lambda: list(pair.vb.stream(_VALUE_READ, 0)),
+                 lambda: pair.vb.run_moments(_VALUE_READ, 0)):
+        before = _untouched(pair.batch), _untouched(pair.slow)
+        with pytest.raises(ValueError, match="at least one measurement"):
+            read()
+        assert (_untouched(pair.batch), _untouched(pair.slow)) == before
 
 
 @pytest.mark.parametrize("entry", ["stream", "evictions"])
@@ -819,6 +884,29 @@ def test_an_abandoned_read_charges_its_session():
     assert (abandoned.transport.victim.counters
             == drained.transport.victim.counters)
     assert abandoned.total_requests() == len(schedule) * 3 * wire.CHUNK
+
+
+class _Stopped(Exception):
+    pass
+
+
+def test_a_stopped_drawn_read_charges_its_session():
+    # a drawn read is charged with its victim, when the batch settles, so a
+    # read stopped after its first chunk leaves the two counters equal
+    schedule = wire.leak_schedule("avx", 130, 10, 0, 1_000_000)
+    session = _Pair(seed=3).batch
+    victim = session.transport.victim
+    evictions = victim.evictions
+
+    def first_view_only(*args):
+        yield next(evictions(*args))
+        raise _Stopped
+
+    victim.evictions = first_view_only
+    with pytest.raises(_Stopped):
+        session.drawn_moments(schedule, 3 * wire.CHUNK)
+    assert session.counters == victim.counters
+    assert session.total_requests() == len(schedule) * 3 * wire.CHUNK
 
 
 def test_request_triple_is_its_packet():

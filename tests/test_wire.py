@@ -104,6 +104,47 @@ class TestCodec:
         assert decode_response(encode_response(packet)) == packet
 
 
+class TestSchedules:
+    @pytest.mark.parametrize("lo, hi", [(0, 1 << 32), (1 << 32, 0), (-1, 5),
+                                        (0, -1), (1 << 40, 1 << 40)])
+    def test_a_probe_bound_past_32_bits_is_refused(self, lo, hi):
+        # the probe packs each bound into 32 bits: (0, 2^32) would read as
+        # the empty range [1, 0)
+        with pytest.raises(ValueError, match=r"outside \[0, 2\^32\)"):
+            wire.aslr_schedule(lo, hi, 2)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+    def test_every_32_bit_pair_is_carried(self, lo, hi):
+        # lo > hi included: the victim reads it as an empty range
+        *_, (op, arg), _ = wire.aslr_schedule(lo, hi, 2)
+        assert (op, arg >> 32, arg & 0xFFFFFFFF) == (wire.OP_ASLR_PROBE, lo, hi)
+        assert wire.schedule_counts(wire.aslr_schedule(lo, hi, 2), 1)
+
+    @given(u64, st.integers(1, 5))
+    def test_the_admission_counts_what_a_frame_carries(self, arg, n):
+        schedule = [(wire.OP_LEAK_CACHE, arg), (wire.OP_ADVANCE_CLOCK, 2.0),
+                    (wire.OP_TRANSMIT_CACHE, np.uint64(arg)), (0x7F, 0)]
+        assert wire.schedule_counts(schedule, n) == {
+            wire.OP_LEAK_CACHE: n, wire.OP_ADVANCE_CLOCK: n,
+            wire.OP_TRANSMIT_CACHE: n, 0x7F: n}
+
+    @pytest.mark.parametrize("arg", [-1, 1 << 64, 5.0, 0.5, "1", None])
+    @pytest.mark.parametrize("op", [wire.OP_LEAK_CACHE, wire.OP_VALUE_CMP,
+                                    wire.OP_ASLR_PROBE])
+    def test_the_admission_refuses_what_no_frame_carries(self, op, arg):
+        with pytest.raises(ValueError, match=r"not an integer in \[0, 2\^64\)"):
+            wire.schedule_counts([(op, arg), (wire.OP_TRANSMIT_CACHE, 0)], 1)
+        with pytest.raises(CodecError):
+            encode_request((op, arg, 1))
+
+    def test_a_clock_advance_past_64_bits_is_refused(self):
+        for advance in (1 << 64, float(1 << 64)):
+            with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+                wire.schedule_counts([(wire.OP_ADVANCE_CLOCK, advance)], 1)
+        assert wire.schedule_counts(
+            [(wire.OP_ADVANCE_CLOCK, (1 << 64) - 1)], 1)
+
+
 class TestLatencyModel:
     def test_presets(self):
         assert LatencyModel.preset("local").sigma_ns == 15_600.0
