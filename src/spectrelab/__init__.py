@@ -9,7 +9,7 @@ from .attacker import (AslrResult, BitRead, Calibration, CalibrationError,
                        ValueResult, break_aslr, calibrate, leak_bit,
                        leak_range, value_threshold_search)
 from .config import dump_config, load_config
-from .stats import Histogram, HistogramSpec, MeasurementSet
+from .stats import Histogram, HistogramSpec
 from .uarch import (AvxUnit, BranchPredictor, CacheModel, MicroarchState,
                     SecretStore, VirtualClock, avx_penalty,
                     thrash_probability)

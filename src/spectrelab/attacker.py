@@ -381,13 +381,13 @@ def leak_bit(session: Session, plan: ExtractionPlan, calib: Calibration,
     rtts = np.empty(n) if keep_samples or plan.decision == "mode" else None
     mean, var = session.drawn_moments(
         session.bit_schedule(plan, bit_index), n, rtts)
-    if plan.decision == "mode":       # the fast side is 1
-        mode = stats.histogram(rtts, plan.histogram).mode_ns()
-        bit, z = stats.threshold_classify(mode, calib), proportion_z(rtts, threshold)
+    if plan.decision == "mode":
+        stat = stats.histogram(rtts, plan.histogram).mode_ns()
+        z = proportion_z(rtts, threshold)
     else:
-        bit, z = int(mean < threshold), mean_z(mean, var, n, threshold)
-    return BitRead(bit=bit, confidence=z,
-                   rtts_ns=rtts if keep_samples else None)
+        stat, z = mean, mean_z(mean, var, n, threshold)
+    return BitRead(bit=int(stat < threshold),   # the fast side is 1, a tie 0
+                   confidence=z, rtts_ns=rtts if keep_samples else None)
 
 
 # ---------------------------------------------------------------------------

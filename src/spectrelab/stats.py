@@ -1,9 +1,8 @@
-"""Measurement-set analytics shared by the attacker and the experiment
-harness: histograms with moving-average smoothing, the two decision rules
-(threshold on the histogram mode, Gaussian two-class Bayes), dispersion
-estimates, and CSV import/export.
+"""Sample analytics shared by the attacker and the experiment harness:
+histograms with moving-average smoothing, the Gaussian two-class Bayes
+rule, dispersion estimates, and CSV import/export.
 
-Everything here is a pure function over immutable sample arrays.
+Everything here is a pure function over sample arrays.
 """
 
 from __future__ import annotations
@@ -46,24 +45,12 @@ class Histogram:
         return float(self.bin_centers_ns[int(np.argmax(self.smoothed))])
 
 
-@dataclass
-class MeasurementSet:
-    """Ordered round-trip samples with an optional corner-case tag."""
-
-    rtts_ns: np.ndarray
-    label: str = "unknown"        # hit | miss | unknown
-
-    def __post_init__(self):
-        self.rtts_ns = np.asarray(self.rtts_ns, dtype=float)
-        if self.rtts_ns.size == 0:
-            raise ValueError("empty measurement set")
-
-
 def _rtts(samples) -> np.ndarray:
-    """The samples of a MeasurementSet or of a non-empty array-like."""
-    if not isinstance(samples, MeasurementSet):
-        samples = MeasurementSet(samples)
-    return samples.rtts_ns
+    """The samples of a non-empty array-like, as floats."""
+    rtts = np.asarray(samples, dtype=float)
+    if rtts.size == 0:
+        raise ValueError("empty measurement set")
+    return rtts
 
 
 def histogram(samples, spec: Optional[HistogramSpec] = None) -> Histogram:
@@ -100,15 +87,6 @@ def smooth(counts: np.ndarray, window: int) -> np.ndarray:
         return np.asarray(counts, dtype=float)
     kernel = np.full(window, 1.0 / window)
     return np.convolve(np.asarray(counts, dtype=float), kernel, mode="same")
-
-
-def threshold_classify(hist_mode_ns: float, calib) -> int:
-    """1 when the mode sits on the fast side of the calibrated threshold.
-
-    A leaked 1 makes the transmit gadget fast under both covert channels,
-    so "fast" maps to 1.  Exact ties break toward 0 (no leak).
-    """
-    return 1 if hist_mode_ns < calib.threshold_ns else 0
 
 
 def bayes_classify(samples, calib) -> tuple[int, float]:

@@ -97,18 +97,17 @@ class VictimConfig:
             raise ConfigError("valid_aslr_offset outside the probe space")
         if not 0 <= self.mitigation_noise_sigma_ns < math.inf:
             raise ConfigError("mitigation noise sigma must be finite and >= 0")
-        if any(abs(c) > MAX_CYCLES for c in (
+        if not all(0 <= c <= MAX_CYCLES for c in (
                 self.hit_cycles, self.miss_cycles, self.warm_cycles,
                 self.max_penalty_cycles, self.handler_cycles)):
-            raise ConfigError("a cycle count must be at most 2^53 in size")
+            raise ConfigError("a cycle count must be in [0, 2^53]")
         if self.miss_cycles <= self.hit_cycles:
             raise ConfigError("miss_cycles must exceed hit_cycles")
         if not (0 < self.cycle_time_ns < math.inf
                 and 0 < self.thrash_lambda < math.inf):
             raise ConfigError("cycle_time and thrash lambda must be finite and > 0")
-        if not (math.isfinite(self.decay_start_ns)
-                and math.isfinite(self.decay_end_ns)):
-            raise ConfigError("decay start and end must be finite")
+        if not 0 <= self.decay_start_ns <= self.decay_end_ns < math.inf:
+            raise ConfigError("decay needs 0 <= start <= end, both finite")
         if not (self.per_request_ns >= 0       # nan and inf are not whole
                 and float(self.per_request_ns).is_integer()):
             raise ConfigError("per_request_ns must be whole ns and >= 0")

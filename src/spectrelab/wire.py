@@ -133,8 +133,7 @@ def schedule_counts(schedule: list, n: int) -> Counter:
             raise ValueError("negative transfer size")
         if op == OP_ADVANCE_CLOCK and not (arg >= 0 and float(arg).is_integer()):
             raise ValueError("a clock advance is whole ns, not negative")
-        if not ((op == OP_ADVANCE_CLOCK or isinstance(arg, (int, np.integer)))
-                and 0 <= arg <= _U64_MASK):
+        if not (_carried(arg) or op == OP_ADVANCE_CLOCK and arg <= _U64_MASK):
             raise ValueError(f"arg {arg!r} is not an integer in [0, 2^64)")
     return Counter({op: k * n for op, k in Counter(op for op, _ in schedule).items()})
 
@@ -153,6 +152,17 @@ class CodecError(WireError):
 
 class RequestTimeout(WireError):
     """No response within the timeout; safe to retry."""
+
+
+_INTEGERS = (int, np.integer)
+
+
+def _carried(arg, nonce=0) -> bool:
+    """Whether a request frame carries ``arg`` and ``nonce``: each a Python
+    or NumPy integer in [0, 2^64).  One call for both keeps the loopback
+    transport's check to one frame per request."""
+    return (isinstance(arg, _INTEGERS) and isinstance(nonce, _INTEGERS)
+            and 0 <= arg <= _U64_MASK and 0 <= nonce <= _U64_MASK)
 
 
 class RequestPacket(NamedTuple):
@@ -180,12 +190,9 @@ def encode_request(packet: tuple) -> bytes:
     opcode, arg, nonce = packet
     if opcode not in VALID_OPCODES:
         raise CodecError(f"unknown opcode {opcode:#04x}", nonce)
-    try:
-        if not 0 <= arg <= _U64_MASK or not 0 <= nonce <= _U64_MASK:
-            raise CodecError("arg/nonce out of 64-bit range", nonce)
-        return _FRAME.pack(opcode, arg, nonce)
-    except (TypeError, struct.error):     # not an integer, e.g. 2.5 or "1"
-        raise CodecError("arg/nonce is not an integer") from None
+    if not _carried(arg, nonce):
+        raise CodecError("arg/nonce is not an integer in [0, 2^64)")
+    return _FRAME.pack(opcode, arg, nonce)
 
 
 def decode_request(data: bytes) -> RequestPacket:
@@ -397,6 +404,8 @@ class LoopbackTransport:
         return self._rng
 
     def request(self, packet: tuple) -> tuple[ResponsePacket, float]:
+        if not _carried(packet[1], packet[2]):     # as encode_request
+            raise CodecError("arg/nonce is not an integer in [0, 2^64)")
         victim = self.victim
         response, server_cycles = victim.handle_request(packet)
         return response, self.latency.rtt(

@@ -614,3 +614,51 @@ class TestRemoteLayout:
                             probes_per_check=3)
         assert result.offset == (1 << 31) - 1
         assert len(result.rounds) == 31
+
+
+def _raw_request(remote, op, arg):
+    """One raw request on a fresh session, locally or through the codec:
+    its response (or its CodecError's message), both request counters and
+    the victim's clock."""
+    if remote:
+        victim = Victim(VictimConfig(), seed=0)
+        session = Session(_CodecTransport(victim))
+    else:
+        session = attacker.loopback_session(VictimConfig(), seed=0)
+        victim = session.transport.victim
+    try:
+        outcome = session.request(op, arg)[0]
+    except wire.CodecError as err:
+        outcome = str(err)
+    return (outcome, dict(session.counters), dict(victim.counters),
+            victim.state.clock.now)
+
+
+class TestCarriage:
+    @pytest.mark.parametrize("arg", [5.0, 2**65, -1, 2**64 - 1, np.int64(3)],
+                             ids=["5.0", "2^65", "-1", "2^64-1", "int64"])
+    @pytest.mark.parametrize("op", [wire.OP_LEAK_CACHE, wire.OP_VALUE_CMP])
+    def test_loopback_carries_what_the_codec_carries(self, op, arg):
+        # a frame carries an integer in [0, 2^64): the loopback transport
+        # refuses the rest as the codec does, before the victim sees them
+        local, remote = (_raw_request(r, op, arg) for r in (False, True))
+        assert local == remote
+        if isinstance(local[0], str):     # refused, before the victim
+            assert local[1:] == ({}, {}, 0.0)
+
+    @pytest.mark.parametrize("nonce", [-1, 2**64, 1.0])
+    def test_a_nonce_no_frame_carries_is_refused(self, nonce):
+        session = attacker.loopback_session(VictimConfig(), seed=0)
+        packet = (wire.OP_TRANSMIT_CACHE, 0, nonce)
+        for request in (session.transport.request, wire.encode_request):
+            with pytest.raises(wire.CodecError, match="not an integer"):
+                request(packet)
+        assert session.transport.victim.total_requests() == 0
+
+    def test_an_unknown_opcode_is_the_victims_to_refuse(self):
+        # the codec refuses to encode it; on loopback the victim answers it
+        local = attacker.loopback_session(VictimConfig(), seed=0)
+        assert local.request(0x7F, 0)[0].status == wire.STATUS_BAD_OPCODE
+        assert local.transport.victim.counters == {0x7F: 1}
+        with pytest.raises(wire.CodecError, match="unknown opcode"):
+            Session(_CodecTransport(Victim(VictimConfig(), seed=0))).request(0x7F, 0)

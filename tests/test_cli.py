@@ -411,7 +411,19 @@ class TestAttackFlags:
         "[victim]\npublic_zero_bytes = -3\n",
         "[victim]\nsecret =\n",
         "[latency]\nbase_ns = -5\n",
-    ], ids=["negative-public-zeros", "empty-secret", "negative-base"])
+        # the timing domain: cycle counts >= 0, 0 <= decay start <= end
+        "[timing]\nhit_cycles = -1\n",
+        "[timing]\nhit_cycles = -1\nmiss_cycles = 0\n",
+        "[timing]\nwarm_cycles = -1\n",
+        "[timing]\nmax_penalty_cycles = -5\n",
+        "[timing]\nhandler_cycles = -1\n",
+        "[timing]\ndecay_start_ns = -1\n",
+        "[timing]\ndecay_start_ns = -2\ndecay_end_ns = -1\n",
+        "[timing]\ndecay_start_ns = 9000\ndecay_end_ns = 8000\n",
+    ], ids=["negative-public-zeros", "empty-secret", "negative-base",
+            "negative-hit", "negative-hit-and-miss", "negative-warm",
+            "negative-penalty", "negative-handler", "negative-decay-start",
+            "negative-decay", "decay-ends-before-it-starts"])
     def test_bad_config_input_exits_2(self, tmp_path, text):
         path = tmp_path / "victim.cfg"
         path.write_text(text)

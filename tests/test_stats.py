@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectrelab import stats
-from spectrelab.attacker import Calibration
-from spectrelab.stats import Histogram, HistogramSpec, MeasurementSet
+from spectrelab.attacker import (Calibration, ExtractionPlan, leak_bit,
+                                 loopback_session)
+from spectrelab.stats import Histogram, HistogramSpec
+from spectrelab.victim import VictimConfig
 
 
 def _calib(hit=100.0, miss=200.0, sigma=10.0):
@@ -84,15 +86,35 @@ class TestHistogram:
                             abs_tol=1e-9)
 
 
-class TestClassifiers:
-    def test_threshold_rule_fast_is_one(self):
-        calib = _calib()
-        assert stats.threshold_classify(120.0, calib) == 1
-        assert stats.threshold_classify(180.0, calib) == 0
+def _leak_bit_against(decision, offset_ns):
+    """``leak_bit`` on a noiseless loopback session, against a hand-built
+    calibration whose threshold lies ``offset_ns`` above the statistic
+    that decides the bit: the mean, or the smoothed histogram's mode."""
+    plan = ExtractionPlan(measurements_per_bit=50, decision=decision)
+    twin = loopback_session(VictimConfig(), 0)
+    schedule = twin.bit_schedule(plan, 0)
+    if decision == "mode":
+        rtts = np.empty(50)
+        twin.drawn_moments(schedule, 50, rtts)
+        stat = stats.histogram(rtts, plan.histogram).mode_ns()
+    else:
+        stat, _ = twin.drawn_moments(schedule, 50)
+    threshold = stat + offset_ns
+    calib = Calibration(mean_hit_ns=threshold - 1000.0,
+                        mean_miss_ns=threshold + 1000.0,
+                        threshold_ns=threshold, sigma_est_ns=10.0)
+    return leak_bit(loopback_session(VictimConfig(), 0), plan, calib, 0).bit
 
-    def test_threshold_tie_breaks_to_zero(self):
-        calib = _calib()
-        assert stats.threshold_classify(calib.threshold_ns, calib) == 0
+
+class TestClassifiers:
+    @pytest.mark.parametrize("decision", ["mean", "mode"])
+    def test_threshold_rule_fast_is_one(self, decision):
+        assert _leak_bit_against(decision, 20.0) == 1
+        assert _leak_bit_against(decision, -20.0) == 0
+
+    @pytest.mark.parametrize("decision", ["mean", "mode"])
+    def test_threshold_tie_breaks_to_zero(self, decision):
+        assert _leak_bit_against(decision, 0.0) == 0
 
     def test_bayes_agrees_with_threshold_on_clean_data(self):
         calib = _calib()
@@ -165,5 +187,5 @@ class TestCsv:
         assert np.allclose(smoothed, hist.smoothed, atol=1e-6)
 
     def test_measurement_set_rejects_empty(self):
-        with pytest.raises(ValueError):
-            MeasurementSet(np.array([]))
+        with pytest.raises(ValueError, match="empty"):
+            stats.histogram(np.array([]))

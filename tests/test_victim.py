@@ -165,8 +165,17 @@ class TestDispatch:
         for value in (2**53 + 1, -(2**53 + 1), 10**400):
             with pytest.raises(ConfigError, match=r"2\^53"):
                 VictimConfig(**{key: value}).validate()
-        limit = -2**53 if key == "hit_cycles" else 2**53
-        VictimConfig(**{key: limit}).validate()
+        # every count at its largest at once; hit_cycles stays below miss
+        VictimConfig(hit_cycles=2**53 - 1, miss_cycles=2**53,
+                     warm_cycles=2**53, max_penalty_cycles=2**53,
+                     handler_cycles=2**53).validate()
+
+    def test_the_timing_domain_edges_are_valid(self):
+        # its refusals are tests/test_cli.py's bad config inputs
+        VictimConfig(hit_cycles=0, miss_cycles=1, warm_cycles=0,
+                     max_penalty_cycles=0, handler_cycles=0,
+                     decay_start_ns=0.0, decay_end_ns=0.0).validate()
+        VictimConfig(decay_start_ns=5.0, decay_end_ns=5.0).validate()
 
 
 class TestDatagrams:
