@@ -216,12 +216,11 @@ class Session:
 
     def moments(self, schedule: list, n: int) -> tuple[float, float]:
         """Mean and ddof-1 variance of the timed round trips of n iterations
-        of ``schedule``.  Batched, with Gaussian noise, no mitigation noise
-        and under 1e-12 chance of a clamp at 0 in the read, they are drawn
-        exactly from the victim's moments (``rtt_moments``); otherwise
-        they are read from samples (``sample_moments``)."""
+        of ``schedule``.  Where ``_reducible``, they are drawn exactly from
+        the victim's moments (``rtt_moments``); otherwise they are read
+        from samples (``sample_moments``)."""
         t = self.transport
-        if self._reducible(n) and t.latency.distribution == "gaussian":
+        if self._reducible(n):
             mean, ss = t.victim.run_moments(schedule, n)
             self.counters.update(wire.schedule_counts(schedule, n))
             ct = t.victim.config.cycle_time_ns
@@ -235,11 +234,12 @@ class Session:
         return _moments(self._rtts(schedule, n))
 
     def _reducible(self, n: int) -> bool:
-        """Whether a read of n iterations reduces to its victim's moments
-        or draws: batched, free of mitigation noise and under 1e-12 chance
-        of a clamp at 0."""
+        """The one rule under which a read of n iterations skips its round
+        trips: batched, no mitigation noise, Gaussian noise of sigma > 0
+        and under 1e-12 chance of a clamp at 0."""
         t = self.transport
         return (self.batched and t.victim.config.mitigation_noise_sigma_ns == 0
+                and t.latency.distribution == "gaussian" and t.latency.sigma_ns > 0
                 and n * t.latency.clamp_probability() < 1e-12)
 
     def drawn_moments(self, schedule: list, n: int,
@@ -256,12 +256,10 @@ class Session:
         counts = wire.schedule_counts(schedule, n)
         t, lat = self.transport, self.transport.latency
         ct, base2 = t.victim.config.cycle_time_ns, 2.0 * lat.base_ns
-        gauss = lat.distribution == "gaussian" and lat.sigma_ns > 0
-        g, buf = (lat.sigma_ns if gauss else 1.0), np.empty(min(n, wire.CHUNK))
+        g, buf = lat.sigma_ns, np.empty(min(n, wire.CHUNK))
         shift, total, total_sq = None, 0.0, 0.0
         for view, h, evict, keep in t.victim.evictions(schedule, n):
-            z = (t.rng.standard_normal(out=buf[:len(view)]) if gauss
-                 else lat.noise(t.rng, len(view)))   # noise() draws g z
+            z = t.rng.standard_normal(out=buf[:len(view)])
             d = np.maximum(view[:h] * ct + base2 + g * z[:h], 0.0)  # as _rtts
             if shift is None:     # the first round trip; the bases keep, evict
                 self.counters.update(counts)     # the batch has settled

@@ -280,4 +280,4 @@ def thrash_probability(bytes_transferred: int | float,
                        lam: float = THRASH_LAMBDA) -> float:
     if bytes_transferred < 0:
         raise ValueError("negative transfer size")
-    return 1.0 - math.exp(-bytes_transferred / lam)
+    return 1.0 - math.exp(-(bytes_transferred / lam))   # -np.uint64 wraps

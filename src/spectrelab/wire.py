@@ -125,7 +125,7 @@ class Counts(Counter):
 def schedule_counts(schedule: list, n: int) -> Counter:
     """Requests per opcode in n iterations of ``schedule``, every read's one
     admission: refuses first n < 1, a negative download, a clock advance
-    negative or not whole ns, and any other arg no request frame carries."""
+    negative or not whole ns, and any other request no frame carries."""
     if n < 1:
         raise ValueError("a read needs at least one measurement")
     for op, arg in schedule:
@@ -133,8 +133,8 @@ def schedule_counts(schedule: list, n: int) -> Counter:
             raise ValueError("negative transfer size")
         if op == OP_ADVANCE_CLOCK and not (arg >= 0 and float(arg).is_integer()):
             raise ValueError("a clock advance is whole ns, not negative")
-        if not (_carried(arg) or op == OP_ADVANCE_CLOCK and arg <= _U64_MASK):
-            raise ValueError(f"arg {arg!r} is not an integer in [0, 2^64)")
+        if not (_carried(op, arg) or op == OP_ADVANCE_CLOCK and arg <= _U64_MASK):
+            raise ValueError(f"request {(op, arg)!r}: {_UNCARRIED}")
     return Counter({op: k * n for op, k in Counter(op for op, _ in schedule).items()})
 
 
@@ -155,13 +155,15 @@ class RequestTimeout(WireError):
 
 
 _INTEGERS = (int, np.integer)
+_UNCARRIED = ("no frame carries it: the opcode is not an integer in [0, 256)"
+              " or the arg/nonce not an integer in [0, 2^64)")
 
 
-def _carried(arg, nonce=0) -> bool:
-    """Whether a request frame carries ``arg`` and ``nonce``: each a Python
-    or NumPy integer in [0, 2^64).  One call for both keeps the loopback
-    transport's check to one frame per request."""
-    return (isinstance(arg, _INTEGERS) and isinstance(nonce, _INTEGERS)
+def _carried(opcode, arg, nonce=0) -> bool:
+    """Whether a frame carries the request: Python or NumPy integers, the
+    opcode in [0, 256), the arg and nonce in [0, 2^64), in one call."""
+    return (isinstance(opcode, _INTEGERS) and isinstance(arg, _INTEGERS)
+            and isinstance(nonce, _INTEGERS) and 0 <= opcode <= 0xFF
             and 0 <= arg <= _U64_MASK and 0 <= nonce <= _U64_MASK)
 
 
@@ -188,10 +190,10 @@ class ResponsePacket(NamedTuple):
 def encode_request(packet: tuple) -> bytes:
     """The frame of an (opcode, arg, nonce) triple or ``RequestPacket``."""
     opcode, arg, nonce = packet
+    if not _carried(opcode, arg, nonce):
+        raise CodecError(_UNCARRIED)
     if opcode not in VALID_OPCODES:
         raise CodecError(f"unknown opcode {opcode:#04x}", nonce)
-    if not _carried(arg, nonce):
-        raise CodecError("arg/nonce is not an integer in [0, 2^64)")
     return _FRAME.pack(opcode, arg, nonce)
 
 
@@ -404,8 +406,8 @@ class LoopbackTransport:
         return self._rng
 
     def request(self, packet: tuple) -> tuple[ResponsePacket, float]:
-        if not _carried(packet[1], packet[2]):     # as encode_request
-            raise CodecError("arg/nonce is not an integer in [0, 2^64)")
+        if not _carried(*packet):       # as encode_request
+            raise CodecError(_UNCARRIED)
         victim = self.victim
         response, server_cycles = victim.handle_request(packet)
         return response, self.latency.rtt(

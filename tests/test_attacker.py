@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectrelab import attacker, wire
 from spectrelab.attacker import (Calibration, CalibrationError,
@@ -662,3 +664,53 @@ class TestCarriage:
         assert local.transport.victim.counters == {0x7F: 1}
         with pytest.raises(wire.CodecError, match="unknown opcode"):
             Session(_CodecTransport(Victim(VictimConfig(), seed=0))).request(0x7F, 0)
+
+
+# a field of a request triple: integers about each field's bounds, in
+# Python and NumPy types, and values of other types
+_FIELD = st.one_of(
+    st.sampled_from([-1, 0, 1, 0x7F, 0xFF, 0x100, 2**64 - 1, 2**64]),
+    st.sampled_from(sorted(wire.VALID_OPCODES)),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.integers(-3, 300).map(np.int64),
+    st.sampled_from([None, 2.5, 3.0, np.float64(1.0), "1", True,
+                     np.array(1)]))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.tuples(_FIELD, _FIELD, _FIELD))
+def test_a_triple_no_frame_carries_is_refused_alike(packet):
+    # 300 examples; a frame carries integers, the opcode in [0, 256) and
+    # the arg and nonce in [0, 2^64)
+    carried = (all(isinstance(f, (int, np.integer)) for f in packet)
+               and 0 <= packet[0] < 256
+               and all(0 <= f < 2**64 for f in packet[1:]))
+    session = attacker.loopback_session(VictimConfig(), seed=0)
+    transport, victim = session.transport, session.transport.victim
+    errors = []
+    for send in (wire.encode_request, transport.request):
+        try:
+            send(packet)
+        except wire.CodecError as err:
+            errors.append(str(err))
+    if carried:
+        # the codec refuses only an unknown opcode; the victim answers it
+        assert errors == ([] if packet[0] in wire.VALID_OPCODES
+                          else [f"unknown opcode {packet[0]:#04x}"])
+        assert victim.total_requests() == 1
+    else:
+        assert len(errors) == 2 and errors[0] == errors[1]
+        assert victim.total_requests() == 0
+        assert victim.state.clock.now == 0.0
+
+
+def test_a_numpy_unsigned_download_reads_as_its_int():
+    # a download size is any integer a frame carries; an unsigned NumPy one
+    # is read by its value, not negated modulo 2^64
+    reads = []
+    for size in (590_000, np.uint64(590_000)):
+        session = attacker.loopback_session(VictimConfig(), seed=0)
+        reads.append((session.moments(wire.value_schedule(5, 10, size), 50),
+                      session.request(wire.OP_DOWNLOAD, size)[1],
+                      dict(session.counters)))
+    assert reads[0] == reads[1]

@@ -180,3 +180,36 @@ class TestSelection:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 8 * wire.CHUNK < 8 * n
+
+
+class TestOneRule:
+    """``Session._reducible`` alone decides which reads skip their round
+    trips: a noiseless or lognormal read of the moments or the draws is its
+    own sample read, and a Gaussian read of sigma > 0 builds none."""
+
+    @staticmethod
+    def _schedules(session):
+        plan = _plan("cache")
+        return [session.corner_schedule("cache", "miss", plan),
+                wire.value_schedule(300, plan.mistrain_count, plan.reset_bytes),
+                _schedule(session, "cache", 0)]
+
+    @pytest.mark.parametrize("latency", ["noiseless", "lognormal"])
+    @pytest.mark.parametrize("n", [1, 2, wire.CHUNK + 1, 2 * wire.CHUNK + 5])
+    @pytest.mark.parametrize("entry", ["moments", "drawn_moments"])
+    def test_an_ineligible_read_is_its_sample_read(self, entry, n, latency):
+        a, b = (_session(LATENCIES[latency]) for _ in range(2))
+        for schedule in self._schedules(a):
+            assert (getattr(a, entry)(schedule, n)
+                    == b.sample_moments(schedule, n))
+        assert _state(a) == _state(b)
+
+    def test_an_eligible_moments_read_builds_no_round_trips(self, monkeypatch):
+        session = _session(LATENCIES["gaussian"])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("round trips built")
+        monkeypatch.setattr(Session, "_rtts", refuse)
+        for schedule in self._schedules(session):
+            session.moments(schedule, 1_000_000)
+        assert session.counters == session.transport.victim.counters

@@ -86,14 +86,14 @@ just below the secret (whose settled iterations time alike) and at it
 victim state, the next draw of both generators and the victim's next
 32-bit draw.
 
-Then, for each batched configuration that ``Session.moments`` draws
-exactly (Gaussian or noiseless, no mitigation noise), two ``victim`` lines
-hash only the victim side (both request counters, the clock, the
-predictor, cache and SIMD state, and the victim generator's next draw)
-after the same corner, value and layout reads: one read as samples, one
-as moments.  The moments read leaves the victim as the sample read does
-when each ``victim moments`` line ends in its ``victim samples`` line's
-digest.
+Then, for each batched configuration without mitigation noise, Gaussian
+(which ``Session.moments`` draws exactly) or noiseless (which it reads
+as samples), two ``victim`` lines hash only the victim side (both
+request counters, the clock, the predictor, cache and SIMD state, and
+the victim generator's next draw) after the same corner, value and
+layout reads: one read as samples, one as moments.  The moments read
+leaves the victim as the sample read does when each ``victim moments``
+line ends in its ``victim samples`` line's digest.
 
 CLI runs and config round trips
 -------------------------------
