@@ -49,7 +49,6 @@ class ExtractionPlan:
     target_bit_range: tuple[int, int] = (0, 0)   # out-of-bounds bit indices
     decision: str = "mean"               # mean | mode
     histogram: HistogramSpec = field(default_factory=HistogramSpec)
-    projected_packet_ns: Optional[float] = None  # per-packet cost for rate projection
 
     def validate(self) -> None:
         if self.channel not in ("cache", "avx"):
@@ -413,14 +412,14 @@ class LeakResult:
         return 3600.0 / self.projected_seconds_per_bit
 
 
-def _projected_packet_ns(session: Session, plan: ExtractionPlan) -> float:
-    if plan.projected_packet_ns is not None:
-        return plan.projected_packet_ns
-    if isinstance(session.transport, LoopbackTransport):
-        t = session.transport
+def _projected_packet_ns(session: Session, calib: Calibration) -> float:
+    """One request's cost: on loopback the modelled round trip of a
+    request's handler time, else the hit round trip calibration measured."""
+    t = session.transport
+    if isinstance(t, LoopbackTransport):
         server_ns = t.victim.config.handler_cycles * t.victim.config.cycle_time_ns
         return 2.0 * t.latency.base_ns + server_ns
-    return 20_000.0   # fallback: typical switched-LAN round trip
+    return calib.mean_hit_ns
 
 
 def leak_range(session: Session, plan: ExtractionPlan, calib: Calibration,
@@ -428,9 +427,10 @@ def leak_range(session: Session, plan: ExtractionPlan, calib: Calibration,
                progress: Optional[Callable[[int, BitRead], None]] = None) -> LeakResult:
     """Leak the plan's whole bit range MSB-first and account request costs.
 
-    The projected rate uses the configured per-packet cost, not the
-    in-process loopback cost, so desk-scale runs can be compared to
-    real-network numbers honestly.
+    The projected rate charges every request one round trip: on loopback
+    the latency model's (2 base + the handler's cycles), not the wall time
+    of the in-process run; against any other target the mean hit round
+    trip its calibration measured.
     """
     start_bit, end_bit = plan.target_bit_range
     if end_bit <= start_bit:
@@ -454,7 +454,7 @@ def leak_range(session: Session, plan: ExtractionPlan, calib: Calibration,
 
     data = np.packbits(np.array(bits[:len(bits) // 8 * 8], np.uint8)).tobytes()
     requests = session.total_requests() - requests_before
-    per_packet_ns = _projected_packet_ns(session, plan)
+    per_packet_ns = _projected_packet_ns(session, calib)
     per_bit = requests / len(bits)
     return LeakResult(
         bits=bits, confidences=confidences, data=data,

@@ -3,7 +3,8 @@ and regenerate the standard experiment datasets.
 
 Exit codes are a stable scripting contract:
     0  success
-    2  configuration error (bad flags, bad config file)
+    2  configuration error (bad flags, bad config file, a port outside
+       [0, 65535], a local file that cannot be opened or written)
     3  target unreachable, or it sent a reply the protocol does not allow
     4  extraction finished with low confidence or failed calibration
 
@@ -52,15 +53,29 @@ def _make_victim_config(args) -> VictimConfig:
     return cfg
 
 
+def _port(text: str) -> int:
+    """A UDP port number, refused outside [0, 65535]."""
+    port = int(text)
+    if not 0 <= port <= 0xFFFF:
+        raise argparse.ArgumentTypeError(f"port {port} outside [0, 65535]")
+    return port
+
+
+def _target(text: str):
+    """'loopback', or the (host, port) of host[:port]."""
+    if text == "loopback":
+        return text
+    host, _, port = text.partition(":")
+    return host, _port(port) if port else wire.DEFAULT_PORT
+
+
 def _open_target(args, cfg: VictimConfig, seed: int):
     """Return (session, victim-or-None).  'loopback' builds an in-process
-    victim; anything else is host[:port] over UDP."""
+    victim; anything else is a (host, port) over UDP."""
     if args.target == "loopback":
         session = attacker.loopback_session(cfg, seed)
         return session, session.transport.victim
-    host, _, port = args.target.partition(":")
-    transport = UDPTransport(host, int(port) if port else wire.DEFAULT_PORT)
-    session = Session(transport)
+    session = Session(UDPTransport(*args.target))
     # fail fast if nobody is listening
     session.request(wire.OP_RESET)
     return session, None
@@ -79,11 +94,7 @@ def cmd_victim(args) -> int:
     victim = Victim(cfg, seed=seed, log_path=args.log)
     print(f"listening on udp port {args.port} (clock={cfg.clock_mode})")
     print(config_mod.dump_config(cfg))
-    try:
-        victim.serve_udp(port=args.port)
-    except OSError as err:
-        print(f"error: cannot bind port {args.port}: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    victim.serve_udp(port=args.port)
     return EXIT_OK
 
 
@@ -107,9 +118,9 @@ def cmd_leak(args) -> int:
                           target_bit_range=(start, start + args.bits))
     plan.validate()
     seed = _resolve_seed(args.seed)
-    session, victim = _open_target(args, cfg, seed)
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
+    session, victim = _open_target(args, cfg, seed)
     calib = attacker.calibrate(session, plan)
 
     def sink(pos: int, rtts: np.ndarray) -> None:
@@ -158,8 +169,8 @@ def cmd_aslr(args) -> int:
         cfg.valid_aslr_offset = args.offset
     cfg.validate()   # before a UDP target is contacted
     seed = _resolve_seed(args.seed)
-    session, _ = _open_target(args, cfg, seed)
     os.makedirs(args.out, exist_ok=True)
+    session, _ = _open_target(args, cfg, seed)
     result = attacker.break_aslr(session, cfg.aslr_space_bits, args.n)
     with open(os.path.join(args.out, "rounds.csv"), "w") as fh:
         fh.write("round,lo,hi,mid,mean_left_ns,mean_right_ns,went_left,attempts\n")
@@ -194,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("victim", help="run the victim service over UDP")
     p.add_argument("config", nargs="?", help="config file (key = value)")
-    p.add_argument("--port", type=int, default=wire.DEFAULT_PORT)
+    p.add_argument("--port", type=_port, default=wire.DEFAULT_PORT)
     p.add_argument("--clock", choices=("virtual", "wall"))
     p.add_argument("--log", help="append-only request trace file")
     p.add_argument("--seed", type=int)
@@ -203,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     def attack_parser(name: str, summary: str) -> argparse.ArgumentParser:
         """A subcommand with the flags every attack takes."""
         p = sub.add_parser(name, help=summary)
-        p.add_argument("target", help="'loopback' or host[:port]")
+        p.add_argument("target", type=_target,
+                       help="'loopback' or host[:port]")
         p.add_argument("--preset", choices=wire.PRESETS,
                        help="latency preset (default: the --config file's "
                             "[latency] section, else local)")
@@ -249,10 +261,12 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except ValueError as err:        # a ConfigError is one
+    # a ConfigError is a ValueError; an OSError is a local file's or port's,
+    # since the UDP transport raises its socket's errors as WireError
+    except (ValueError, OSError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (WireError, ConnectionError, OSError) as err:
+    except WireError as err:
         print(f"target unreachable: {err}", file=sys.stderr)
         return EXIT_UNREACHABLE
     except (CalibrationError, ExtractionError) as err:

@@ -1,6 +1,6 @@
 """Sample analytics shared by the attacker and the experiment harness:
 histograms with moving-average smoothing, the Gaussian two-class Bayes
-rule, dispersion estimates, and CSV import/export.
+rule, dispersion estimates, and CSV export.
 
 Everything here is a pure function over sample arrays.
 """
@@ -135,7 +135,7 @@ def error_rate(recovered, truth) -> float:
 
 
 # ---------------------------------------------------------------------------
-# CSV interchange
+# CSV export
 # ---------------------------------------------------------------------------
 
 def write_samples_csv(path, rtts_ns, phase: str = "unknown") -> None:
@@ -147,15 +147,6 @@ def write_samples_csv(path, rtts_ns, phase: str = "unknown") -> None:
             writer.writerow([i, f"{rtt:.3f}", phase])
 
 
-def read_samples_csv(path) -> tuple[np.ndarray, list[str]]:
-    rtts, phases = [], []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rtts.append(float(row["rtt_ns"]))
-            phases.append(row["phase"])
-    return np.asarray(rtts), phases
-
-
 def write_histogram_csv(path, hist: Histogram) -> None:
     """Histogram dump: header ``bin_start_ns,count,smoothed_count``."""
     with open(path, "w", newline="") as fh:
@@ -164,13 +155,3 @@ def write_histogram_csv(path, hist: Histogram) -> None:
         for start, count, sm in zip(hist.bin_edges_ns[:-1], hist.counts,
                                     hist.smoothed):
             writer.writerow([f"{start:.3f}", int(count), f"{sm:.6f}"])
-
-
-def read_histogram_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    starts, counts, smoothed = [], [], []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            starts.append(float(row["bin_start_ns"]))
-            counts.append(int(row["count"]))
-            smoothed.append(float(row["smoothed_count"]))
-    return np.asarray(starts), np.asarray(counts), np.asarray(smoothed)

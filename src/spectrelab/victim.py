@@ -209,8 +209,9 @@ class Victim:
         return status, payload, cycles
 
     def handle_datagram(self, data: bytes) -> Optional[bytes]:
-        """Wire-level entry point: decode, dispatch, inject the server-side
-        delay in wall-clock mode, and encode the reply."""
+        """Wire-level entry point: decode, dispatch, in wall-clock mode sleep
+        for the request's server time (the network adds its own jitter),
+        and encode the reply."""
         if len(data) == 0:
             return None
         try:
@@ -219,9 +220,7 @@ class Victim:
             return ResponsePacket(STATUS_BAD_OPCODE, err.nonce or 0).encode()
         response, cycles = self.handle_request(packet)
         if self.config.clock_mode == "wall":
-            delay_ns = cycles * self.config.cycle_time_ns
-            noise = self.config.latency.noise(self.rng)
-            time.sleep(max(0.0, delay_ns + noise) / 1e9)
+            time.sleep(cycles * self.config.cycle_time_ns / 1e9)
         return response.encode()
 
     # -- batched execution (loopback fast path) --------------------------
@@ -425,11 +424,11 @@ class Victim:
                     data, addr = sock.recvfrom(2048)
                 except socket.timeout:
                     continue
-                except KeyboardInterrupt:
-                    break
                 reply = self.handle_datagram(data)
                 if reply is not None:
                     sock.sendto(reply, addr)
+        except KeyboardInterrupt:
+            pass
         finally:
             sock.close()
             self.close()

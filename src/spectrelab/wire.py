@@ -418,7 +418,8 @@ class UDPTransport:
     """Datagram transport with wall-clock round-trip measurement.
 
     Responses are matched by nonce, so reordered or duplicated datagrams
-    cannot pair a measurement with the wrong request.
+    cannot pair a measurement with the wrong request.  No reply within the
+    timeout is a RequestTimeout, any other socket error a WireError.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = DEFAULT_PORT,
@@ -433,24 +434,26 @@ class UDPTransport:
         nonce = packet[2]
         start = time.monotonic_ns()
         deadline = start + int(self.timeout_s * 1e9)
-        self.sock.sendto(payload, self.addr)
-        while True:
-            remaining = (deadline - time.monotonic_ns()) / 1e9
-            if remaining <= 0:
-                raise RequestTimeout(f"no response from {self.addr}")
-            self.sock.settimeout(remaining)
-            try:
+        try:
+            self.sock.sendto(payload, self.addr)
+            while True:
+                remaining = (deadline - time.monotonic_ns()) / 1e9
+                if remaining <= 0:
+                    raise socket.timeout
+                self.sock.settimeout(remaining)
                 data, _ = self.sock.recvfrom(2048)
-            except socket.timeout:
-                raise RequestTimeout(f"no response from {self.addr}") from None
-            elapsed = time.monotonic_ns() - start
-            try:
-                response = decode_response(data)
-            except CodecError:      # not a response frame; keep waiting
-                continue
-            if response.nonce == nonce:
-                return response, float(elapsed)
-            # stale datagram from an earlier request; keep waiting
+                elapsed = time.monotonic_ns() - start
+                try:
+                    response = decode_response(data)
+                except CodecError:      # not a response frame; keep waiting
+                    continue
+                if response.nonce == nonce:
+                    return response, float(elapsed)
+                # stale datagram from an earlier request; keep waiting
+        except socket.timeout:
+            raise RequestTimeout(f"no response from {self.addr}") from None
+        except OSError as err:          # the socket's own: the target failed
+            raise WireError(f"{self.addr}: {err}") from err
 
     def close(self) -> None:
         self.sock.close()

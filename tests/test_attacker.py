@@ -183,11 +183,11 @@ class TestLeakRange:
         assert len(lines) == session.total_requests() == victim.total_requests()
 
     def test_projected_rate_uses_packet_cost(self):
-        session, victim = make_session()
+        # a 1 ms packet: 2 x 499,750 ns base + 1000 handler cycles x 0.5 ns
+        session, victim = make_session(latency=LatencyModel.noiseless(499_750.0))
         start = victim.config.secrets.bitstream_length
         plan = ExtractionPlan(measurements_per_bit=10,
-                              target_bit_range=(start, start + 2),
-                              projected_packet_ns=1_000_000.0)
+                              target_bit_range=(start, start + 2))
         calib = calibrate(session, plan, n=10)
         result = leak_range(session, plan, calib)
         assert math.isclose(result.projected_seconds_per_bit,
@@ -540,6 +540,21 @@ class _CodecTransport:
             wire.decode_request(wire.encode_request(packet)))
         rtt = 2 * 10_000.0 + cycles * self.victim.config.cycle_time_ns
         return wire.decode_response(response.encode()), rtt
+
+
+class TestRemoteProjection:
+    def test_a_remote_leak_projects_its_calibrated_round_trip(self):
+        # no latency model to read: each request costs the hit round trip
+        # the calibration measured
+        victim = Victim(VictimConfig(), seed=0)
+        session = Session(_CodecTransport(victim))
+        start = victim.config.secrets.bitstream_length
+        plan = ExtractionPlan(measurements_per_bit=5,
+                              target_bit_range=(start, start + 2))
+        calib = calibrate(session, plan, n=5)
+        result = leak_range(session, plan, calib)
+        assert result.projected_seconds_per_bit == \
+            result.requests_per_bit * calib.mean_hit_ns / 1e9
 
 
 class TestRemoteLayout:

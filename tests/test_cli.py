@@ -5,8 +5,13 @@ import argparse
 import csv
 import filecmp
 import os
+import pathlib
+import signal
 import socket
+import subprocess
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +19,8 @@ import pytest
 from spectrelab import cli, figures, wire
 from spectrelab.config import load_config
 from spectrelab.victim import Victim, VictimConfig
+
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*argv):
@@ -334,12 +341,12 @@ class TestFiguresCommand:
             assert abs(m - e) < 0.02
 
     def test_fig5_gap(self, tmp_path):
-        from spectrelab.stats import read_histogram_csv
         out = tmp_path / "fig5"
         run_cli("figures", "fig5", "--seed", "1", "--out", str(out))
         means = {}
         for label in ("hit", "miss"):
-            starts, counts, _ = read_histogram_csv(out / f"fig5_{label}.csv")
+            starts, counts = np.loadtxt(out / f"fig5_{label}.csv", delimiter=",",
+                                        skiprows=1, usecols=(0, 1), unpack=True)
             centers = starts + 5.0
             means[label] = np.average(centers, weights=counts)
         assert abs((means["miss"] - means["hit"]) - 366 * 0.5) < 2.0
@@ -390,6 +397,89 @@ class TestVictimCommandPlumbing:
         finally:
             shutdown.set()
             thread.join(5.0)
+
+
+class TestVictimCommand:
+    def test_wall_clock_victim_answers_logs_and_stops_on_sigint(self, tmp_path):
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        log = tmp_path / "victim.log"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "spectrelab.cli", "victim", "--port",
+             str(port), "--clock", "wall", "--log", str(log)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": SRC})
+        try:
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+                sock.settimeout(0.2)
+                request = wire.RequestPacket(wire.OP_RESET, 0, 7).encode()
+                deadline = time.monotonic() + 30.0
+                while True:     # resend until the victim has bound its port
+                    assert proc.poll() is None, proc.stderr.read()
+                    assert time.monotonic() < deadline, "no reply"
+                    sock.sendto(request, ("127.0.0.1", port))
+                    try:
+                        reply = wire.decode_response(sock.recv(2048))
+                        break
+                    except (socket.timeout, ConnectionRefusedError):
+                        continue
+            assert reply == wire.ResponsePacket(wire.STATUS_OK, 7, 0)
+            proc.send_signal(signal.SIGINT)      # idle: waiting for a datagram
+            assert proc.wait(30.0) == cli.EXIT_OK
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert len(log.read_text().splitlines()) == 1
+
+
+class TestPorts:
+    """A port outside [0, 65535] is refused where it is parsed: exit 2,
+    before any socket or output exists."""
+
+    @pytest.mark.parametrize("argv", [
+        ("leak", "127.0.0.1:70000", "--start-bit", "0", "--bits", "1",
+         "--n", "10"),
+        ("aslr", "127.0.0.1:-5", "--n", "10"),
+    ], ids=["leak", "aslr"])
+    def test_attack_target_port_out_of_range(self, tmp_path, argv):
+        out = tmp_path / "x"
+        assert run_cli(*argv, "--out", str(out)) == cli.EXIT_CONFIG
+        assert not out.exists()
+
+    def test_victim_port_out_of_range(self):
+        assert run_cli("victim", "--port", "70000") == cli.EXIT_CONFIG
+
+
+class TestLocalPaths:
+    """A local path that cannot be written is a configuration error (exit
+    2); exit 3 is kept for a target that failed."""
+
+    def test_figures_out_under_a_file(self, tmp_path):
+        (tmp_path / "F").write_text("")
+        code = run_cli("figures", "fig6", "--out", str(tmp_path / "F" / "x"))
+        assert code == cli.EXIT_CONFIG
+
+    def test_leak_out_under_a_file(self, tmp_path):
+        (tmp_path / "F").write_text("")
+        code = run_cli("leak", "loopback", "--preset", "noiseless", "--n",
+                       "100", "--bits", "1", "--out", str(tmp_path / "F" / "x"))
+        assert code == cli.EXIT_CONFIG
+
+    def test_victim_log_in_a_missing_directory(self, tmp_path):
+        code = run_cli("victim", "--port", "0",
+                       "--log", str(tmp_path / "missing" / "log"))
+        assert code == cli.EXIT_CONFIG
+
+    def test_a_socket_error_at_the_target_is_unreachable(self, tmp_path):
+        # the socket refuses to send to port 0: a target failure (exit 3),
+        # met after the output directory was made
+        out = tmp_path / "x"
+        code = run_cli("leak", "127.0.0.1:0", "--start-bit", "128",
+                       "--n", "10", "--bits", "1", "--out", str(out))
+        assert code == cli.EXIT_UNREACHABLE
+        assert out.is_dir()
 
 
 class TestAttackFlags:

@@ -1,5 +1,6 @@
-"""Histogram, classifier, and CSV interchange tests."""
+"""Histogram, classifier, and CSV export tests."""
 
+import csv
 import math
 
 import numpy as np
@@ -170,9 +171,10 @@ class TestCsv:
         path = tmp_path / "samples.csv"
         rtts = np.array([1.5, 2.25, 3.125])
         stats.write_samples_csv(path, rtts, phase="leak")
-        back, phases = stats.read_samples_csv(path)
-        assert np.allclose(back, rtts)
-        assert phases == ["leak"] * 3
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert np.allclose([float(r["rtt_ns"]) for r in rows], rtts)
+        assert [r["phase"] for r in rows] == ["leak"] * 3
         assert path.read_text().splitlines()[0] == "sequence,rtt_ns,phase"
 
     def test_histogram_round_trip(self, tmp_path):
@@ -181,7 +183,10 @@ class TestCsv:
                                HistogramSpec(bin_width_ns=1.0))
         path = tmp_path / "hist.csv"
         stats.write_histogram_csv(path, hist)
-        starts, counts, smoothed = stats.read_histogram_csv(path)
+        assert path.read_text().splitlines()[0] == \
+            "bin_start_ns,count,smoothed_count"
+        starts, counts, smoothed = np.loadtxt(path, delimiter=",",
+                                              skiprows=1, unpack=True)
         assert np.allclose(starts, hist.bin_edges_ns[:-1])
         assert (counts == hist.counts).all()
         assert np.allclose(smoothed, hist.smoothed, atol=1e-6)

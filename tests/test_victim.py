@@ -214,6 +214,43 @@ class TestWallClock:
         assert warm == 1000 + 210
         assert cold == 1000 + 210 + 366
 
+    def test_a_datagram_draws_nothing_from_the_victim(self):
+        # the reply waits the server time alone: the network's jitter is
+        # the socket's, so the latency model is not drawn from
+        victim = _victim(clock_mode="wall",
+                         latency=LatencyModel.preset("local"))
+        before = victim.rng.bit_generator.state
+        for op in (wire.OP_RESET, wire.OP_TRANSMIT_AVX, wire.OP_TIMING_FN):
+            raw = RequestPacket(op, 0, 9).encode()
+            reply = wire.decode_response(victim.handle_datagram(raw))
+            assert reply == wire.ResponsePacket(wire.STATUS_OK, 9, 0)
+        assert victim.rng.bit_generator.state == before
+
+    def test_a_per_request_read_waits_for_real(self):
+        # the victim refuses the first clock advance; the session then
+        # sleeps every wait instead of sending it
+        victim = _victim(clock_mode="wall")
+        transport = LoopbackTransport(victim, victim.config.latency,
+                                      np.random.default_rng(1))
+        statuses, send = [], transport.request
+
+        def request(packet):
+            response, rtt = send(packet)
+            if packet[0] == wire.OP_ADVANCE_CLOCK:
+                statuses.append(response.status)
+            return response, rtt
+        transport.request = request
+        session = Session(transport, batched=False)
+        plan = ExtractionPlan(channel="avx")
+        t0 = time.monotonic()
+        session.collect_corner("avx", "miss", 5, plan)
+        elapsed_ns = (time.monotonic() - t0) * 1e9
+        assert statuses == [wire.STATUS_BAD_ARG]
+        assert session.counters[wire.OP_ADVANCE_CLOCK] == 1
+        assert victim.counters[wire.OP_ADVANCE_CLOCK] == 1
+        assert session.counters[wire.OP_TRANSMIT_AVX] == 5
+        assert elapsed_ns >= 5 * plan.avx_wait_ns
+
 
 class TestUdpServer:
     def test_udp_smoke_many_random_packets(self):

@@ -108,7 +108,7 @@ The runs: ``leak`` on the cache and AVX channels at ``--preset local`` and
 ``noiseless``, a cache ``leak`` whose calibration fails (exit 4), a
 ``leak --config`` whose [latency] section is a lognormal local preset at a
 100 us base, ``aslr`` at ``local`` and ``noiseless`` (20-bit space, offset
-777), and ``figures`` fig3, fig5, fig7, fig8 and fig10.
+777), and ``figures`` fig3, fig4, fig5, fig6, fig7, fig8 and fig10.
 
 Then one ``config`` line per config text hashes
 ``dump_config(load_config(text))`` and the dump of that dump reloaded, or
@@ -459,7 +459,7 @@ RUNS = [
     ("aslr", "loopback", "--space-bits", "20", "--offset", "777",
      "--n", "1000000", "--preset", "noiseless", "--seed", "3"),
     *(("figures", fig, "--seed", "1")
-      for fig in ("fig3", "fig5", "fig7", "fig8", "fig10")),
+      for fig in ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig10")),
 ]
 
 CONFIGS = {
