@@ -122,7 +122,7 @@ class Session:
                     raise
                 retries -= 1
         self.counters[opcode] += 1
-        if response.nonce != nonce:
+        if response[1] != nonce:        # (status, nonce, payload)
             raise WireError("response nonce mismatch")
         return response, rtt
 
@@ -131,11 +131,11 @@ class Session:
 
     def _advance_or_wait(self, ns: float) -> None:
         if not self._wall_reset:
-            response, _ = self.request(wire.OP_ADVANCE_CLOCK, int(ns))
-            if response.status == STATUS_OK:
+            (status, _, _), _ = self.request(wire.OP_ADVANCE_CLOCK, int(ns))
+            if status == STATUS_OK:
                 return
-            if response.status != STATUS_BAD_ARG:
-                raise WireError(f"unexpected status {response.status}")
+            if status != STATUS_BAD_ARG:
+                raise WireError(f"unexpected status {status}")
             self._wall_reset = True   # wall-clock victim: wait for real
         time.sleep(ns / 1e9)
 

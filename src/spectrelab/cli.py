@@ -16,6 +16,7 @@ outputs every time.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -69,16 +70,20 @@ def _target(text: str):
     return host, _port(port) if port else wire.DEFAULT_PORT
 
 
+@contextlib.contextmanager
 def _open_target(args, cfg: VictimConfig, seed: int):
-    """Return (session, victim-or-None).  'loopback' builds an in-process
-    victim; anything else is a (host, port) over UDP."""
+    """Yield (session, victim-or-None).  'loopback' builds an in-process
+    victim; anything else is a (host, port) over UDP, whose socket is
+    closed on the way out, on success or error."""
     if args.target == "loopback":
         session = attacker.loopback_session(cfg, seed)
-        return session, session.transport.victim
-    session = Session(UDPTransport(*args.target))
-    # fail fast if nobody is listening
-    session.request(wire.OP_RESET)
-    return session, None
+        yield session, session.transport.victim
+        return
+    with contextlib.closing(UDPTransport(*args.target)) as transport:
+        session = Session(transport)
+        # fail fast if nobody is listening
+        session.request(wire.OP_RESET)
+        yield session, None
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +97,12 @@ def cmd_victim(args) -> int:
     cfg.validate()
     seed = _resolve_seed(args.seed)
     victim = Victim(cfg, seed=seed, log_path=args.log)
-    print(f"listening on udp port {args.port} (clock={cfg.clock_mode})")
-    print(config_mod.dump_config(cfg))
-    victim.serve_udp(port=args.port)
+
+    def listening(address) -> None:
+        print(f"listening on udp port {address[1]} (clock={cfg.clock_mode})")
+        print(config_mod.dump_config(cfg), flush=True)
+
+    victim.serve_udp(port=args.port, on_bound=listening)
     return EXIT_OK
 
 
@@ -120,8 +128,6 @@ def cmd_leak(args) -> int:
     seed = _resolve_seed(args.seed)
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
-    session, victim = _open_target(args, cfg, seed)
-    calib = attacker.calibrate(session, plan)
 
     def sink(pos: int, rtts: np.ndarray) -> None:
         hist = stats.histogram(rtts, plan.histogram)
@@ -131,7 +137,9 @@ def cmd_leak(args) -> int:
             os.path.join(out_dir, f"bit_{pos:02d}_samples.csv"),
             rtts[:_SAMPLE_DUMP_CAP], phase="leak")
 
-    result = attacker.leak_range(session, plan, calib, sample_sink=sink)
+    with _open_target(args, cfg, seed) as (session, victim):
+        calib = attacker.calibrate(session, plan)
+        result = attacker.leak_range(session, plan, calib, sample_sink=sink)
 
     bitstring = "".join(str(b) for b in result.bits)
     lines = [
@@ -170,8 +178,8 @@ def cmd_aslr(args) -> int:
     cfg.validate()   # before a UDP target is contacted
     seed = _resolve_seed(args.seed)
     os.makedirs(args.out, exist_ok=True)
-    session, _ = _open_target(args, cfg, seed)
-    result = attacker.break_aslr(session, cfg.aslr_space_bits, args.n)
+    with _open_target(args, cfg, seed) as (session, _):
+        result = attacker.break_aslr(session, cfg.aslr_space_bits, args.n)
     with open(os.path.join(args.out, "rounds.csv"), "w") as fh:
         fh.write("round,lo,hi,mid,mean_left_ns,mean_right_ns,went_left,attempts\n")
         for i, r in enumerate(result.rounds):

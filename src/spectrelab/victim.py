@@ -25,7 +25,7 @@ from .uarch import ClockError, MicroarchState, SecretStore
 from .wire import (OP_ADVANCE_CLOCK, OP_ASLR_PROBE, OP_DOWNLOAD, OP_LEAK_AVX,
                    OP_LEAK_CACHE, OP_RESET, OP_TIMING_FN, OP_TRANSMIT_AVX,
                    OP_TRANSMIT_CACHE, OP_VALUE_CMP, STATUS_BAD_ARG,
-                   STATUS_BAD_OPCODE, STATUS_OK, LatencyModel, ResponsePacket)
+                   STATUS_BAD_OPCODE, STATUS_OK, LatencyModel)
 
 DEFAULT_HANDLER_CYCLES = 1000   # fixed per-request work surrounding a gadget
 DEFAULT_PER_REQUEST_NS = 1000.0  # virtual-clock advance per request
@@ -141,10 +141,12 @@ class Victim:
 
     # -- request handling ------------------------------------------------
 
-    def handle_request(self, packet: tuple) -> tuple[ResponsePacket, float]:
+    def handle_request(self, packet: tuple) -> tuple[tuple, float]:
         """Process one (opcode, arg, nonce) request, or its RequestPacket;
-        returns the response and the server-side cycles it consumed
-        (mitigation noise included)."""
+        returns the (status, nonce, payload) response and the server-side
+        cycles it consumed (mitigation noise included).  Requests and
+        responses pass as plain triples; RequestPacket and ResponsePacket
+        are their named forms for callers and the codec."""
         opcode, arg, nonce = packet
         cfg = self.config
         self.counters[opcode] += 1
@@ -156,8 +158,7 @@ class Victim:
         if self._log is not None:
             self._log.write(f"{opcode:#04x} {arg} {cycles:.3f}\n")
 
-        # ResponsePacket(status, nonce, payload) without its generated __new__
-        return tuple.__new__(ResponsePacket, (status, nonce, payload)), cycles
+        return (status, nonce, payload), cycles
 
     def _dispatch(self, op: int, arg, rng) -> tuple[int, int, float]:
         """Advance the clock by one request and run its gadget; returns
@@ -217,11 +218,11 @@ class Victim:
         try:
             packet = wire.decode_request(data)
         except wire.CodecError as err:
-            return ResponsePacket(STATUS_BAD_OPCODE, err.nonce or 0).encode()
+            return wire.encode_response((STATUS_BAD_OPCODE, err.nonce or 0, 0))
         response, cycles = self.handle_request(packet)
         if self.config.clock_mode == "wall":
             time.sleep(cycles * self.config.cycle_time_ns / 1e9)
-        return response.encode()
+        return wire.encode_response(response)
 
     # -- batched execution (loopback fast path) --------------------------
     #
@@ -411,12 +412,17 @@ class Victim:
     # -- serving ---------------------------------------------------------
 
     def serve_udp(self, port: int = wire.DEFAULT_PORT, host: str = "0.0.0.0",
-                  shutdown_event=None, ready_event=None) -> None:
-        """Blocking UDP loop; stops on the shutdown event or SIGINT."""
+                  shutdown_event=None, ready_event=None,
+                  on_bound=None) -> None:
+        """Blocking UDP loop; stops on the shutdown event or SIGINT.  Once
+        the socket is bound, ``on_bound`` is called with its (host, port):
+        for port 0, the port the kernel picked."""
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
             sock.bind((host, port))
             sock.settimeout(0.2)
+            if on_bound is not None:
+                on_bound(sock.getsockname())
             if ready_event is not None:
                 ready_event.set()
             while shutdown_event is None or not shutdown_event.is_set():

@@ -179,6 +179,8 @@ class RequestPacket(NamedTuple):
 
 
 class ResponsePacket(NamedTuple):
+    """The named form of a response's (status, nonce, payload) triple."""
+
     status: int
     nonce: int
     payload: int = 0
@@ -209,8 +211,9 @@ def decode_request(data: bytes) -> RequestPacket:
     return RequestPacket(opcode, arg, nonce)
 
 
-def encode_response(packet: ResponsePacket) -> bytes:
-    return _FRAME.pack(packet.status, packet.nonce, packet.payload)
+def encode_response(packet: tuple) -> bytes:
+    """The frame of a (status, nonce, payload) triple or ``ResponsePacket``."""
+    return _FRAME.pack(*packet)
 
 
 def decode_response(data: bytes) -> ResponsePacket:
@@ -405,7 +408,7 @@ class LoopbackTransport:
             self._draws.settle()
         return self._rng
 
-    def request(self, packet: tuple) -> tuple[ResponsePacket, float]:
+    def request(self, packet: tuple) -> tuple[tuple, float]:
         if not _carried(*packet):       # as encode_request
             raise CodecError(_UNCARRIED)
         victim = self.victim

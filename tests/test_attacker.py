@@ -376,7 +376,7 @@ class TestSessionPlumbing:
         session, _ = make_session()
         r1, _ = session.request(wire.OP_RESET)
         r2, _ = session.request(wire.OP_RESET)
-        assert r2.nonce == r1.nonce + 1
+        assert r2[1] == r1[1] + 1
 
     @pytest.mark.parametrize("channel", ["cache", "avx"])
     def test_per_request_noise_stream(self, channel):
@@ -539,7 +539,7 @@ class _CodecTransport:
         response, cycles = self.victim.handle_request(
             wire.decode_request(wire.encode_request(packet)))
         rtt = 2 * 10_000.0 + cycles * self.victim.config.cycle_time_ns
-        return wire.decode_response(response.encode()), rtt
+        return wire.decode_response(wire.encode_response(response)), rtt
 
 
 class TestRemoteProjection:
@@ -675,7 +675,7 @@ class TestCarriage:
     def test_an_unknown_opcode_is_the_victims_to_refuse(self):
         # the codec refuses to encode it; on loopback the victim answers it
         local = attacker.loopback_session(VictimConfig(), seed=0)
-        assert local.request(0x7F, 0)[0].status == wire.STATUS_BAD_OPCODE
+        assert local.request(0x7F, 0)[0][0] == wire.STATUS_BAD_OPCODE
         assert local.transport.victim.counters == {0x7F: 1}
         with pytest.raises(wire.CodecError, match="unknown opcode"):
             Session(_CodecTransport(Victim(VictimConfig(), seed=0))).request(0x7F, 0)

@@ -4,14 +4,17 @@ and figure dataset generation."""
 import argparse
 import csv
 import filecmp
+import gc
 import os
 import pathlib
+import select
 import signal
 import socket
 import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -433,6 +436,33 @@ class TestVictimCommand:
                 proc.wait()
         assert len(log.read_text().splitlines()) == 1
 
+    def test_port_zero_reports_the_bound_port(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "spectrelab.cli", "victim", "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": SRC})
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 30.0)
+            assert ready, "no listening line"
+            line = proc.stdout.readline()
+            assert line.startswith("listening on udp port "), line
+            port = int(line.split()[4])
+            assert port != 0
+            transport = wire.UDPTransport("127.0.0.1", port, timeout_s=5.0)
+            try:
+                response, _ = transport.request((wire.OP_RESET, 0, 1))
+            finally:
+                transport.close()
+            assert response == (wire.STATUS_OK, 1, 0)
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(30.0) == cli.EXIT_OK
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
+
 
 class TestPorts:
     """A port outside [0, 65535] is refused where it is parsed: exit 2,
@@ -480,6 +510,17 @@ class TestLocalPaths:
                        "--n", "10", "--bits", "1", "--out", str(out))
         assert code == cli.EXIT_UNREACHABLE
         assert out.is_dir()
+
+    def test_a_failed_target_leaves_no_socket_open(self, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("leak", "127.0.0.1:0", "--start-bit", "128",
+                           "--n", "10", "--bits", "1",
+                           "--out", str(tmp_path / "x"))
+            gc.collect()
+        assert code == cli.EXIT_UNREACHABLE
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
 
 
 class TestAttackFlags:

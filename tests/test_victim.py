@@ -70,14 +70,14 @@ class TestDispatch:
     def test_advance_clock_virtual(self):
         victim = _victim()
         response, _ = _req(victim, wire.OP_ADVANCE_CLOCK, 5000)
-        assert response.status == wire.STATUS_OK
+        assert response[0] == wire.STATUS_OK
         # per-request tick plus the explicit advance
         assert victim.state.clock.now == 1000.0 + 5000.0
 
     def test_advance_clock_rejected_in_wall_mode(self):
         victim = _victim(clock_mode="wall")
         response, _ = _req(victim, wire.OP_ADVANCE_CLOCK, 5000)
-        assert response.status == wire.STATUS_BAD_ARG
+        assert response[0] == wire.STATUS_BAD_ARG
 
     def test_reset_clears_state_keeps_clock(self):
         victim = _victim()
@@ -98,7 +98,7 @@ class TestDispatch:
     def test_download_echoes_size(self):
         victim = _victim()
         response, _ = _req(victim, wire.OP_DOWNLOAD, 590_000)
-        assert response.payload == 590_000
+        assert response[2] == 590_000
 
     def test_mitigation_noise_perturbs_cycles(self):
         victim = _victim(mitigation_noise_sigma_ns=500.0)
@@ -237,7 +237,7 @@ class TestWallClock:
         def request(packet):
             response, rtt = send(packet)
             if packet[0] == wire.OP_ADVANCE_CLOCK:
-                statuses.append(response.status)
+                statuses.append(response[0])
             return response, rtt
         transport.request = request
         session = Session(transport, batched=False)
@@ -957,8 +957,9 @@ def test_a_stopped_drawn_read_charges_its_session():
 
 def test_request_triple_is_its_packet():
     # a request is an (opcode, arg, nonce) triple; RequestPacket is its named
-    # form, and the victim answers both alike: downloads and mitigation
-    # noise draw from its generator, and an unknown opcode is refused
+    # form, and the victim answers both alike with a plain (status, nonce,
+    # payload) triple: downloads and mitigation noise draw from its
+    # generator, and an unknown opcode is refused
     schedule = (wire.leak_schedule("cache", 130, 3, 0, 590_000)
                 + wire.leak_schedule("avx", 130, 3, 0, 1e6)
                 + wire.value_schedule(5, 2, 590_000)
@@ -968,7 +969,7 @@ def test_request_triple_is_its_packet():
                     for _ in range(2))
     for nonce, (op, arg) in enumerate(schedule * 3):
         response, cycles = plain.handle_request((op, arg, nonce))
-        assert type(response) is wire.ResponsePacket
+        assert type(response) is tuple
         assert (response, cycles) == named.handle_request(
             RequestPacket(op, arg, nonce))
     assert plain.counters == named.counters

@@ -103,6 +103,14 @@ class TestCodec:
         packet = ResponsePacket(status, nonce, payload)
         assert decode_response(encode_response(packet)) == packet
 
+    @given(st.integers(0, 255), u64, u64)
+    def test_response_triple_encodes_as_its_packet(self, status, nonce,
+                                                   payload):
+        # a response is a (status, nonce, payload) triple; ResponsePacket
+        # names it
+        assert (encode_response((status, nonce, payload))
+                == encode_response(ResponsePacket(status, nonce, payload)))
+
 
 class TestSchedules:
     @pytest.mark.parametrize("lo, hi", [(0, 1 << 32), (1 << 32, 0), (-1, 5),
@@ -230,8 +238,8 @@ class TestLoopbackTransport:
         transport = wire.LoopbackTransport(victim, cfg.latency,
                                            np.random.default_rng(0))
         response, rtt = transport.request(RequestPacket(wire.OP_RESET, 0, 7))
-        assert response.nonce == 7
-        assert response.status == wire.STATUS_OK
+        assert response[1] == 7
+        assert response[0] == wire.STATUS_OK
         # noiseless: 2*base + handler_cycles * cycle_time
         assert rtt == 2 * 10_000.0 + 1000 * 0.5
 

@@ -224,7 +224,7 @@ class CodecTransport:
     """``LoopbackTransport`` with every frame encoded and decoded on the
     way, so the packets' codec is on the digested path.  The session sends
     it the plain (opcode, arg, nonce) triple, which ``wire.encode_request``
-    encodes."""
+    encodes, and ``wire.encode_response`` encodes the victim's reply."""
 
     def __init__(self, victim, latency, rng):
         self.victim, self.latency, self.rng = victim, latency, rng
@@ -234,7 +234,7 @@ class CodecTransport:
             wire.decode_request(wire.encode_request(packet)))
         rtt = self.latency.rtt(cycles * self.victim.config.cycle_time_ns,
                                self.rng)
-        return wire.decode_response(response.encode()), rtt
+        return wire.decode_response(wire.encode_response(response)), rtt
 
 
 def _session(latency, noise_ns, barrier, path, seed=11, **overrides) -> Session:
