@@ -102,20 +102,25 @@ class Session:
 
     def __init__(self, transport, batched: bool = True):
         self.transport = transport
-        self.batched = batched and isinstance(transport, LoopbackTransport)
+        self._loopback = isinstance(transport, LoopbackTransport)
+        self.batched = batched and self._loopback
         self.counters: wire.Counts = wire.Counts()
         self._nonce = 0
         self._wall_reset = False   # victim rejected ADVANCE_CLOCK; sleep instead
 
     # -- raw requests ----------------------------------------------------
 
-    def request(self, opcode: int, arg: int = 0):
+    def request(self, opcode: int, arg: int = 0, timed: bool = True):
+        """One request's (response, rtt).  Only a loopback transport is told
+        ``timed``; there an untimed request builds no round trip (rtt None)."""
         self._nonce = nonce = self._nonce + 1
         packet = (opcode, arg, nonce)
         retries = REQUEST_RETRIES
         while True:
             try:
-                response, rtt = self.transport.request(packet)
+                response, rtt = (self.transport.request(packet, timed)
+                                 if self._loopback
+                                 else self.transport.request(packet))
                 break
             except RequestTimeout:
                 if not retries:
@@ -131,7 +136,7 @@ class Session:
 
     def _advance_or_wait(self, ns: float) -> None:
         if not self._wall_reset:
-            (status, _, _), _ = self.request(wire.OP_ADVANCE_CLOCK, int(ns))
+            status = self.request(wire.OP_ADVANCE_CLOCK, int(ns), False)[0][0]
             if status == STATUS_OK:
                 return
             if status != STATUS_BAD_ARG:
@@ -147,8 +152,9 @@ class Session:
         each of ``wire.views(n, out)`` filled.  Batched, a view is a chunk
         of ``Victim.stream`` turned into round trips in place, and the
         session is charged with the victim, when the batch settles (first
-        view); per request, it is filled one iteration at a time.  Either
-        way ``wire.schedule_counts`` first admits n and the schedule."""
+        view); per request, it is filled one iteration at a time, drawing
+        noise for the timed request alone, as a batch does.  Either way
+        ``wire.schedule_counts`` first admits n and the schedule."""
         counts = wire.schedule_counts(schedule, n)
         if self.batched:
             t = self.transport
@@ -167,7 +173,7 @@ class Session:
                     if op == advance:
                         self._advance_or_wait(arg)
                     else:
-                        request(op, arg)
+                        request(op, arg, False)
                 view[i] = request(timed_op, timed_arg)[1]
             yield view
 
@@ -600,7 +606,7 @@ def _compare_sequentially(session: Session, guess: int, n: int,
 def value_threshold_search(session: Session, value_bits: int,
                            plan: ExtractionPlan, calib: Calibration) -> ValueResult:
     """Recover a k-bit secret integer by a binary search over noisy
-    speculative comparisons.
+    speculative comparisons, for k in [0, 64], the guesses a frame carries.
 
     Each of the k rounds asks whether the secret exceeds the midpoint
     guess; a fast transmit means the comparison body ran, i.e.
@@ -617,6 +623,8 @@ def value_threshold_search(session: Session, value_bits: int,
     a round still undecided after _ROUND_PATIENCE times the comparisons
     Wald's test expects on a signal-free channel.
     """
+    if not 0 <= value_bits <= 64:
+        raise ValueError("value_bits outside [0, 64]")
     plan.validate()
     n = plan.measurements_per_bit
     margin = _MARGIN_SE * calib.threshold_se_ns
@@ -626,7 +634,7 @@ def value_threshold_search(session: Session, value_bits: int,
             f"calibrated half-gap {half_gap + margin:.1f} ns does not exceed "
             f"{_MARGIN_SE:g} threshold standard errors ({margin:.1f} ns); "
             "calibrate with more samples")
-    alpha = VALUE_ERROR_BUDGET / value_bits
+    alpha = VALUE_ERROR_BUDGET / max(value_bits, 1)   # 0 bits: no rounds
     bound = math.log((1.0 - alpha) / alpha)
     requests_before = session.total_requests()
     lo, hi = 0, (1 << value_bits) - 1

@@ -243,10 +243,12 @@ class Victim:
     # the first eviction.
     #
     # Counters, clock, final state and generator draws match the
-    # per-request loop, and with a noiseless transport so do the returned
-    # cycles (see tests).  The exception is mitigation noise: per request,
-    # every request draws one normal; batched, only the timed ones do, one
-    # chunk at a time after that chunk's eviction draws.  One draw per
+    # per-request loop, and so do the round trips a session builds from
+    # the timed cycles, under transport noise too: either path draws that
+    # noise for the timed request alone (see tests).  The exception is
+    # mitigation noise: per request, every request draws one normal;
+    # batched, only the timed ones do, one chunk at a time after that
+    # chunk's eviction draws.  One draw per
     # iteration is one download per iteration, so _settle refuses a
     # schedule with more than one, then runs every read's one admission
     # (wire.schedule_counts), before it counts or draws anything.  A batch

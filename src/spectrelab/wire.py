@@ -353,68 +353,32 @@ class LatencyModel:
 # Transports
 # ---------------------------------------------------------------------------
 
-# Scalar draws per block of BlockDraws.
-BLOCK = 1024
-
-
-class BlockDraws:
-    """A generator's scalar ``standard_normal()`` draws, served from blocks
-    of BLOCK drawn at once: a vector draw yields the values of as many
-    scalar draws, at a fraction of numpy's cost per call.  ``settle`` puts
-    the generator where the draws served so far would have left it."""
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self._block = []     # a block's values not yet served, the next one last
-        self._state = None   # the bit generator's state before the block
-
-    def standard_normal(self) -> float:
-        if not self._block:  # served to its end: the generator is past it
-            self._state = self.rng.bit_generator.state
-            self._block = self.rng.standard_normal(BLOCK).tolist()
-            self._block.reverse()
-        return self._block.pop()
-
-    def settle(self) -> None:
-        """Rewind the generator to before the current block and redraw the
-        values served from it; a block served to its end needs neither."""
-        if self._block:
-            self.rng.bit_generator.state = self._state
-            self.rng.standard_normal(BLOCK - len(self._block))
-            self._block = []
-
-
 class LoopbackTransport:
     """In-process transport: requests go straight to a victim instance and
     the round-trip time is synthesized from the latency model.  Fully
     deterministic under a seeded generator.
 
-    Each request's noise comes from ``BlockDraws`` over the generator,
-    which ``rng`` settles before handing it out, so every reader finds it
-    where one scalar draw per request would have left it.  A generator
-    shared with the victim is drawn from directly: drawing ahead would
-    reorder the victim's eviction draws.
+    Only a timed request's round trip is built, each from one scalar draw
+    of ``rng``: an untimed one (``timed=False``) returns None for it and
+    draws nothing, as a batched read builds only each iteration's timed
+    round trip.
     """
 
     def __init__(self, victim, latency: LatencyModel, rng: np.random.Generator):
         self.victim = victim
         self.latency = latency
-        self._rng = rng
-        self._draws = rng if rng is victim.rng else BlockDraws(rng)
+        self.rng = rng
 
-    @property
-    def rng(self) -> np.random.Generator:
-        if self._draws is not self._rng:
-            self._draws.settle()
-        return self._rng
-
-    def request(self, packet: tuple) -> tuple[tuple, float]:
+    def request(self, packet: tuple,
+                timed: bool = True) -> tuple[tuple, Optional[float]]:
         if not _carried(*packet):       # as encode_request
             raise CodecError(_UNCARRIED)
         victim = self.victim
         response, server_cycles = victim.handle_request(packet)
+        if not timed:
+            return response, None
         return response, self.latency.rtt(
-            server_cycles * victim.config.cycle_time_ns, self._draws)
+            server_cycles * victim.config.cycle_time_ns, self.rng)
 
 
 class UDPTransport:

@@ -337,6 +337,35 @@ class TestValueSearch:
                                    ExtractionPlan(measurements_per_bit=0), calib)
         assert session.total_requests() == sent
 
+    @pytest.mark.parametrize("bits", [-1, 65])
+    def test_value_bits_past_a_frame_are_refused(self, bits):
+        # a guess of 64 bits or more would not fit a request's arg
+        session, _ = make_session(value_secret=42)
+        calib = Calibration(self.HIT_NS, self.MISS_NS,
+                            0.5 * (self.HIT_NS + self.MISS_NS), 10.0)
+        with pytest.raises(ValueError, match=r"value_bits outside \[0, 64\]"):
+            value_threshold_search(session, bits,
+                                   ExtractionPlan(measurements_per_bit=20),
+                                   calib)
+        assert session.total_requests() == 0
+
+    def test_zero_bits_read_zero_without_a_request(self):
+        session, _ = make_session()
+        calib = Calibration(self.HIT_NS, self.MISS_NS,
+                            0.5 * (self.HIT_NS + self.MISS_NS), 10.0)
+        result = value_threshold_search(
+            session, 0, ExtractionPlan(measurements_per_bit=20), calib)
+        assert (result.value, result.rounds, result.requests_total) == (0, [], 0)
+        assert session.total_requests() == 0
+
+    def test_sixty_four_bits_reach_the_largest_value(self):
+        session, _ = make_session(value_secret=(1 << 64) - 1, value_bits=64)
+        plan = ExtractionPlan(measurements_per_bit=5)
+        calib = calibrate(session, plan, n=5, channel="value")
+        result = value_threshold_search(session, 64, plan, calib)
+        assert result.value == (1 << 64) - 1
+        assert len(result.rounds) == 64
+
     def test_undecidable_round_raises(self):
         # the threshold sits exactly on the noiseless fast time, so a
         # comparison that runs fast carries no evidence either way
@@ -380,8 +409,8 @@ class TestSessionPlumbing:
 
     @pytest.mark.parametrize("channel", ["cache", "avx"])
     def test_per_request_noise_stream(self, channel):
-        # each request, untimed ones included, draws one normal(0, sigma)
-        # from the transport generator, in request order
+        # only each iteration's timed request draws: one normal(0, sigma)
+        # per iteration from the transport generator, in iteration order
         sigma = 20.0
         session, victim = make_session(seed=5, batched=False, sigma_ns=sigma)
         _, twin_victim = make_session(seed=5, sigma_ns=sigma)
@@ -396,8 +425,7 @@ class TestSessionPlumbing:
             for op, arg in schedule:
                 _, cycles = twin_victim.handle_request(
                     wire.RequestPacket(op, arg))
-                rtt = cycles * ct + 2 * base + twin_rng.normal(0.0, sigma)
-            expected.append(rtt)
+            expected.append(cycles * ct + 2 * base + twin_rng.normal(0.0, sigma))
         rtts = session.collect_bit(plan, index, 4)
         assert rtts.tolist() == expected
         assert session.transport.rng.random() == twin_rng.random()
@@ -406,7 +434,8 @@ class TestSessionPlumbing:
     def test_instance_hooks_see_every_request(self, channel):
         # per-layer tracing replaces these methods on the instances after
         # the session is built, so each layer must call the next one
-        # through its instance attribute
+        # through its instance attribute; only each iteration's timed
+        # request builds a round trip
         session, victim = make_session(batched=False, sigma_ns=20.0)
         calls = dict.fromkeys(("session", "transport", "victim", "rtt"), 0)
 
@@ -426,7 +455,8 @@ class TestSessionPlumbing:
         plan = ExtractionPlan(channel=channel)
         session.collect_bit(plan, victim.config.secrets.secret_bit_index(0), 3)
         per_layer = 3 * (plan.mistrain_count + 3)
-        assert calls == dict.fromkeys(calls, per_layer)
+        assert calls == dict(session=per_layer, transport=per_layer,
+                             victim=per_layer, rtt=3)
 
     @pytest.mark.parametrize("channel", ["cache", "avx"])
     def test_batched_collect_allocates_one_output(self, channel):

@@ -234,8 +234,8 @@ class TestWallClock:
                                       np.random.default_rng(1))
         statuses, send = [], transport.request
 
-        def request(packet):
-            response, rtt = send(packet)
+        def request(packet, timed=True):
+            response, rtt = send(packet, timed)
             if packet[0] == wire.OP_ADVANCE_CLOCK:
                 statuses.append(response[0])
             return response, rtt
@@ -681,6 +681,59 @@ class TestBatchEngineFuzz:
                 pair.assert_state_matches()
 
 
+# transport noise: Gaussian, the same with the clamp at 0 active, lognormal
+_NOISE = {
+    "gaussian": LatencyModel(base_ns=100_000.0, sigma_ns=15_600.0),
+    "clamped": LatencyModel(base_ns=1_000.0, sigma_ns=15_600.0),
+    "lognormal": LatencyModel(base_ns=100_000.0, sigma_ns=15_600.0,
+                              distribution="lognormal"),
+}
+
+
+class TestPerRequestNoise:
+    """The sampled reads, batched against per request, under transport
+    noise: either path draws noise for each iteration's timed request
+    alone, so the round trips and their moments are equal sample for
+    sample, over what TestBatchEngineFuzz draws (a batch's one download
+    at most).  Mitigation noise stays off: per request it draws for every
+    request."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_sampled_reads_match_per_request(self, data):
+        draw = data.draw
+        public, secret = draw(st.integers(0, 255)), draw(st.integers(0, 255))
+        pair = _Pair(latency=_NOISE[draw(st.sampled_from(sorted(_NOISE)))],
+                     secrets=SecretStore(bytes([public, secret]),
+                                         bitstream_length=8),
+                     mitigation_barrier=draw(st.booleans()),
+                     value_secret=draw(st.integers(0, 15)),
+                     valid_aslr_offset=draw(st.integers(0, 63)),
+                     aslr_space_bits=6, **draw(_timing()))
+        prefix = draw(st.lists(_raw_request(), max_size=20))
+        chunk = draw(st.integers(3, 8))
+        schedules = _batch_schedule().filter(
+            lambda s: sum(op == wire.OP_DOWNLOAD for op, _ in s) < 2)
+        reads = draw(st.lists(st.tuples(
+            st.sampled_from(["_collect", "sample_moments"]), schedules,
+            st.integers(1, 3 * chunk + 1)), min_size=1, max_size=3))
+        for session in (pair.slow, pair.batch):
+            for op, arg in prefix:
+                session.request(op, arg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wire, "CHUNK", chunk)
+            for entry, schedule, n in reads:
+                slow, batch = (getattr(s, entry)(schedule, n)
+                               for s in (pair.slow, pair.batch))
+                _READS[entry](batch, slow)
+                assert pair.slow.counters == pair.batch.counters
+                assert (pair.va.state.cache.aslr_cached_offset
+                        == pair.vb.state.cache.aslr_cached_offset)
+                assert (pair.slow.transport.rng.random()
+                        == pair.batch.transport.rng.random())
+                pair.assert_state_matches()
+
+
 def _untouched(session):
     """Both request counters, the victim's clock and state, and both
     generators' states: what a refused read must leave as it was."""
@@ -810,8 +863,9 @@ class _CodecLoopback(LoopbackTransport):
     """A loopback that sends every request through its frame, as a remote
     target's transport does; sessions drive it one request at a time."""
 
-    def request(self, packet):
-        return super().request(wire.decode_request(wire.encode_request(packet)))
+    def request(self, packet, timed=True):
+        return super().request(wire.decode_request(wire.encode_request(packet)),
+                               timed)
 
 
 def _three_paths(**overrides):

@@ -259,11 +259,13 @@ class TestLoopbackTransport:
 
 
 class _ScalarLoopback(wire.LoopbackTransport):
-    """The loopback transport drawing each request's noise straight from
-    its generator, one scalar draw per request."""
+    """A reference loopback transport: each timed request's noise is one
+    scalar draw from its generator, in request order."""
 
-    def request(self, packet):
+    def request(self, packet, timed=True):
         response, cycles = self.victim.handle_request(packet)
+        if not timed:
+            return response, None
         return response, self.latency.rtt(
             cycles * self.victim.config.cycle_time_ns, self.rng)
 
@@ -285,25 +287,24 @@ def _requests(transport, k):
             for i in range(k)]
 
 
-class TestBlockDraws:
-    """The loopback transport serves per-request noise from blocks of
-    wire.BLOCK draws; every read must equal one scalar draw per request."""
+class TestOneScalarDrawPerRequest:
+    """The loopback transport draws each raw request's noise as one scalar
+    draw of its generator, in request order, as the reference does."""
 
     @pytest.mark.parametrize("distribution", ["gaussian", "lognormal"])
-    @pytest.mark.parametrize("k", [wire.BLOCK - 1, wire.BLOCK, wire.BLOCK + 1,
-                                   3 * wire.BLOCK])
+    @pytest.mark.parametrize("k", [1023, 1024, 1025, 3072])
     def test_reads_equal_scalar_draws(self, distribution, k):
         latency = LatencyModel(base_ns=100_000.0, sigma_ns=15_600.0,
                                distribution=distribution)
-        blocks, twin = (_loopback(cls, latency)
-                        for cls in (wire.LoopbackTransport, _ScalarLoopback))
-        for _ in range(2):          # the second read starts after a settle
-            assert _requests(blocks, k) == _requests(twin, k)
-            assert blocks.rng.random() == twin.rng.random()
+        loopback, twin = (_loopback(cls, latency)
+                          for cls in (wire.LoopbackTransport, _ScalarLoopback))
+        for _ in range(2):          # the second read after a generator read
+            assert _requests(loopback, k) == _requests(twin, k)
+            assert loopback.rng.random() == twin.rng.random()
 
     def test_noiseless_draws_nothing(self):
         transport = _loopback(wire.LoopbackTransport, LatencyModel.noiseless())
-        _requests(transport, 2 * wire.BLOCK + 1)
+        _requests(transport, 2049)
         assert transport.rng.random() == np.random.default_rng(4).random()
 
     @pytest.mark.parametrize("distribution", ["gaussian", "lognormal"])
@@ -311,11 +312,10 @@ class TestBlockDraws:
         # the victim draws a uniform per download between the noise draws
         latency = LatencyModel(base_ns=100_000.0, sigma_ns=15_600.0,
                                distribution=distribution)
-        blocks, twin = (_loopback(cls, latency, shared=True)
-                        for cls in (wire.LoopbackTransport, _ScalarLoopback))
-        assert _requests(blocks, 2 * wire.BLOCK + 1) == _requests(
-            twin, 2 * wire.BLOCK + 1)
-        assert blocks.rng.random() == twin.rng.random()
+        loopback, twin = (_loopback(cls, latency, shared=True)
+                          for cls in (wire.LoopbackTransport, _ScalarLoopback))
+        assert _requests(loopback, 2049) == _requests(twin, 2049)
+        assert loopback.rng.random() == twin.rng.random()
 
     def test_raw_requests_then_batched_read(self):
         from spectrelab.attacker import ExtractionPlan, Session

@@ -30,13 +30,12 @@ The grid: four latency models (Gaussian, lognormal, Gaussian with the
 clamp at 0 active, noiseless) x mitigation noise 0 / 300 ns x barrier off
 / on x a warm / cold training index x n in {1, 2, 65537} batched, or
 n in {1, 2, 7, 100} per request; at n = 100 a bit read makes 1,300
-requests, more than one ``wire.BLOCK`` of per-request noise draws.  The
-``codec`` lines repeat the per-request grid through a transport that
-encodes and decodes every request and response frame, as a remote
-target's do, with the loopback's latency model and generator, drawing
-each request's noise as one scalar; they equal the ``per-request`` lines
-while the codec loses nothing and the loopback's blocks of noise draws
-equal scalar draws.
+requests.  The ``codec`` lines repeat the per-request grid through a
+``LoopbackTransport`` that encodes and decodes every request and response
+frame, as a remote target's transport does, with the loopback's latency
+model and generator, drawing one scalar of noise for each timed request
+alone; they equal the ``per-request`` lines while the codec loses nothing
+and the loopback draws noise for the requests it is told are timed.
 
 For each batched configuration, a ``leak_range`` line hashes the bits of
 an 8-bit ``leak_range`` on each channel at n measurements per bit, both
@@ -61,10 +60,11 @@ requests), a 6-bit ``break_aslr`` that calibrates itself and an 8-bit
 state and the next draw of both generators.
 
 Eight ``mixed`` lines, one per latency model with a transport generator
-either separate from the victim's or shared with it, guard the settle of
-the loopback's blocks of noise draws on a batched session: 1,500 raw
-requests through ``Session.request`` (one ``wire.BLOCK`` plus 476), then a
-batched ``collect_bit`` at n = 5,000 and a ``moments`` read at n = 70,000.
+either separate from the victim's or shared with it, guard the handover
+of the transport's generator from raw requests to batched reads on one
+session: 1,500 raw requests through ``Session.request``, each timed, then
+a batched ``collect_bit`` at n = 5,000 and a ``moments`` read at
+n = 70,000.
 Each hashes the raw round trips, the array, the moments, both request
 counters, the victim state and the next draw of both generators.
 
@@ -187,7 +187,7 @@ ATTACK_LATENCIES = {"request": LatencyModel(base_ns=100_000.0, sigma_ns=20.0),
 ATTACKS = ("calibrate", "leak_range", "break_aslr", "value_threshold_search")
 ATTACK_N = 100          # measurements per bit, layout check and comparison
 ATTACK_CAL_N = 1000     # measurements per calibration corner
-MIXED_REQUESTS = wire.BLOCK + 476     # raw requests before the batched reads
+MIXED_REQUESTS = 1500      # raw requests before the batched reads
 CACHED_RESET_BYTES = 100   # a download evicts about once in 1,300 iterations
 CACHED_N = 70_000          # one wire.CHUNK and 4,464 iterations
 GUESSES = (0, 4241, 4242, 9000)
@@ -220,20 +220,19 @@ def _side(session) -> tuple:
             victim.rng.random(), session.transport.rng.random())
 
 
-class CodecTransport:
+class CodecTransport(LoopbackTransport):
     """``LoopbackTransport`` with every frame encoded and decoded on the
     way, so the packets' codec is on the digested path.  The session sends
     it the plain (opcode, arg, nonce) triple, which ``wire.encode_request``
-    encodes, and ``wire.encode_response`` encodes the victim's reply."""
+    encodes, and ``wire.encode_response`` encodes the victim's reply.  A
+    request the session marks untimed draws no noise; a session that
+    marks none times every request."""
 
-    def __init__(self, victim, latency, rng):
-        self.victim, self.latency, self.rng = victim, latency, rng
-
-    def request(self, packet):
+    def request(self, packet, timed=True):
         response, cycles = self.victim.handle_request(
             wire.decode_request(wire.encode_request(packet)))
-        rtt = self.latency.rtt(cycles * self.victim.config.cycle_time_ns,
-                               self.rng)
+        rtt = (self.latency.rtt(cycles * self.victim.config.cycle_time_ns,
+                                self.rng) if timed else None)
         return wire.decode_response(wire.encode_response(response)), rtt
 
 
