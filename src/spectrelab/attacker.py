@@ -276,11 +276,12 @@ class Session:
             d -= shift
             m, z = view[h:], z[h:]   # e evict, k - e keep: this chunk's sums
             k, e = len(m), float(m.sum()) if evict != keep else 0.0
-            smz, sz = float(m @ z) if e else 0.0, float(z.sum())
+            smz = float(np.multiply(m, z, out=m).sum()) if e else 0.0
+            sz = float(z.sum())   # the products overwrite summed buffers
             total += float(d.sum()) + e * a + (k - e) * b + g * sz
-            total_sq += (float(d @ d) + e * a * a + (k - e) * b * b
-                         + 2.0 * g * (a * smz + b * (sz - smz))
-                         + g * g * float(z @ z))
+            total_sq += (float(np.square(d, out=d).sum()) + e * a * a
+                         + (k - e) * b * b + 2.0 * g * (a * smz + b * (sz - smz))
+                         + g * g * float(np.square(z, out=z).sum()))
         return _finish(n, shift, total, total_sq)
 
 
@@ -295,7 +296,7 @@ def _moments(chunks) -> tuple[float, float]:
             scratch = np.empty(chunk.shape[0])   # the first is the longest
         d = np.subtract(chunk, shift, out=scratch[:chunk.shape[0]])
         total += float(d.sum())
-        total_sq += float(np.dot(d, d))
+        total_sq += float(np.square(d, out=d).sum())
         n += d.shape[0]
     return _finish(n, shift, total, total_sq)
 
@@ -505,8 +506,10 @@ def break_aslr(session: Session, aslr_space_bits: int, probes_per_check: int,
     can be detected and retried.  The space must fit the probe's 32-bit
     fields: at most wire.MAX_SPACE_BITS bits.
     """
-    if not 0 <= aslr_space_bits <= wire.MAX_SPACE_BITS:
-        raise ValueError(f"aslr_space_bits outside [0, {wire.MAX_SPACE_BITS}]")
+    if not (isinstance(aslr_space_bits, (int, np.integer))
+            and 0 <= aslr_space_bits <= wire.MAX_SPACE_BITS):
+        raise ValueError(f"aslr_space_bits outside [0, {wire.MAX_SPACE_BITS}]"
+                         " or not an integer")
     if calib is None:
         plan = ExtractionPlan(measurements_per_bit=probes_per_check)
         calib = calibrate(session, plan, n=probes_per_check, channel="aslr")
@@ -623,8 +626,9 @@ def value_threshold_search(session: Session, value_bits: int,
     a round still undecided after _ROUND_PATIENCE times the comparisons
     Wald's test expects on a signal-free channel.
     """
-    if not 0 <= value_bits <= 64:
-        raise ValueError("value_bits outside [0, 64]")
+    if not (isinstance(value_bits, (int, np.integer))
+            and 0 <= value_bits <= 64):
+        raise ValueError("value_bits outside [0, 64] or not an integer")
     plan.validate()
     n = plan.measurements_per_bit
     margin = _MARGIN_SE * calib.threshold_se_ns

@@ -54,10 +54,11 @@ def _rtts(samples) -> np.ndarray:
 
 
 def histogram(samples, spec: Optional[HistogramSpec] = None) -> Histogram:
-    """Binned counts plus a mass-preserving moving average.
+    """Binned counts plus their moving average (``smooth``).
 
     The auto-fitted range is padded by half a smoothing window on each side
-    so the convolution never pushes counts off the edge.  More than
+    so the moving average never pushes counts off the edge and keeps their
+    mass; a given ``range_ns`` loses what falls past its edges.  More than
     MAX_BINS bins is refused (ValueError).
     """
     if spec is None:
@@ -80,13 +81,15 @@ def histogram(samples, spec: Optional[HistogramSpec] = None) -> Histogram:
 
 
 def smooth(counts: np.ndarray, window: int) -> np.ndarray:
-    """Centered moving average; identity for window 1."""
+    """Centered moving average, one value per bin, counting no mass beyond
+    the edges.  Each window's sum is a difference of cumulative sums, exact
+    for whole counts, divided once by the window: so window 1 is the
+    identity on whole counts."""
     if window < 1 or window % 2 == 0:
         raise ValueError("smoothing window must be odd and >= 1")
-    if window == 1:
-        return np.asarray(counts, dtype=float)
-    kernel = np.full(window, 1.0 / window)
-    return np.convolve(np.asarray(counts, dtype=float), kernel, mode="same")
+    h = window // 2   # a leading 0, then h empty bins beyond each edge
+    sums = np.cumsum(np.pad(np.asarray(counts), (h + 1, h)))
+    return (sums[window:] - sums[:-window]) / window
 
 
 def bayes_classify(samples, calib) -> tuple[int, float]:

@@ -337,9 +337,10 @@ class TestValueSearch:
                                    ExtractionPlan(measurements_per_bit=0), calib)
         assert session.total_requests() == sent
 
-    @pytest.mark.parametrize("bits", [-1, 65])
+    @pytest.mark.parametrize("bits", [-1, 65, 2.5])
     def test_value_bits_past_a_frame_are_refused(self, bits):
-        # a guess of 64 bits or more would not fit a request's arg
+        # a guess of 64 bits or more would not fit a request's arg, and
+        # 2.5 bits none at all (1 << 2.5 is a TypeError)
         session, _ = make_session(value_secret=42)
         calib = Calibration(self.HIT_NS, self.MISS_NS,
                             0.5 * (self.HIT_NS + self.MISS_NS), 10.0)
@@ -604,8 +605,9 @@ class TestRemoteLayout:
         result = break_aslr(session, 12, probes_per_check=5)
         assert result.offset == 777
 
-    @pytest.mark.parametrize("bits", [-1, 32])
+    @pytest.mark.parametrize("bits", [-1, 32, 2.5])
     def test_space_past_the_wire_sends_nothing(self, bits):
+        # a space of 2.5 bits has no size (1 << 2.5 is a TypeError)
         session, victim = self._session()
         with pytest.raises(ValueError):
             break_aslr(session, bits, probes_per_check=5)

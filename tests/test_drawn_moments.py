@@ -9,6 +9,10 @@ same bit, and read their mean within one ulp and their confidence within
 """
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -213,3 +217,43 @@ class TestOneRule:
         for schedule in self._schedules(session):
             session.moments(schedule, 1_000_000)
         assert session.counters == session.transport.victim.counters
+
+
+class TestHostContract:
+    """A seed's reads do not depend on the BLAS build's kernel or thread
+    count: each read is a NumPy reduction, never a BLAS dot product.  Over
+    more than 2^16 samples, where OpenBLAS splits a dot product between
+    threads, a reduced and a sampled read print the same bits in child
+    processes under one or two BLAS threads and under the Haswell kernel.
+    (With BLAS dot products, the reduced read's variance moved with the
+    thread count and the sampled read's with the kernel.)"""
+
+    CHILD = """
+import math
+from spectrelab import uarch, wire
+from spectrelab.attacker import ExtractionPlan, loopback_session
+from spectrelab.victim import VictimConfig
+from spectrelab.wire import LatencyModel
+cfg = VictimConfig(latency=LatencyModel.preset("local", 100_000.0))
+plan = ExtractionPlan(reset_bytes=round(uarch.THRASH_LAMBDA * math.log(2.0)))
+n = 2 * wire.CHUNK + 5
+for read in ("drawn_moments", "sample_moments"):
+    session = loopback_session(cfg, 7)
+    assert session._reducible(n)
+    moments = getattr(session, read)(session.bit_schedule(plan, 0), n)
+    print(read, *map(float.hex, moments))
+"""
+    SETTINGS = [{"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"},
+                {"OPENBLAS_CORETYPE": "Haswell"}]
+
+    def test_reads_are_the_same_bits_under_any_blas_setting(self):
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        outputs = [subprocess.run(
+            [sys.executable, "-c", self.CHILD], check=True, text=True,
+            capture_output=True,
+            env={**os.environ, **setting, "PYTHONPATH": src}).stdout
+            for setting in self.SETTINGS]
+        reads = [out.splitlines() for out in outputs]
+        assert [len(r) for r in reads] == [2, 2, 2]
+        for read in zip(*reads):     # drawn_moments, then sample_moments
+            assert len(set(read)) == 1, read

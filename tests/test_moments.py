@@ -69,7 +69,8 @@ def _sample_moments(x):
     shift = float(x[0])
     d = x - shift
     mean = float(d.sum()) / x.size
-    var = (max(0.0, (float(np.dot(d, d)) - x.size * mean * mean) / (x.size - 1))
+    var = (max(0.0, (float(np.square(d).sum()) - x.size * mean * mean)
+                / (x.size - 1))
            if x.size > 1 else 0.0)
     return shift + mean, var
 

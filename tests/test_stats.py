@@ -61,6 +61,25 @@ class TestHistogram:
         expected = np.array([padded[i:i + w].mean() for i in range(40)])
         assert np.allclose(smoothed, expected)
 
+    def test_window_sums_are_exact(self):
+        # each value is its window's whole-count sum divided once
+        rng = np.random.default_rng(3)
+        counts = rng.integers(0, 10_000, size=200)
+        w = 11
+        padded = np.concatenate([np.zeros(w // 2, int), counts,
+                                 np.zeros(w // 2, int)])
+        sums = [int(padded[i:i + w].sum()) for i in range(200)]
+        assert stats.smooth(counts, w).tolist() == [s / w for s in sums]
+
+    def test_a_window_wider_than_the_range_gives_one_value_per_bin(self):
+        # every window of 11 covers all 3 bins: each value is the whole
+        # mass over the window, and the mass beyond the edges counts 0
+        spec = HistogramSpec(bin_width_ns=1000.0, smoothing_window=11,
+                             range_ns=(0.0, 3000.0))
+        hist = stats.histogram([500.0, 1500.0, 1500.0, 2500.0], spec)
+        assert hist.counts.tolist() == [1, 2, 1]
+        assert hist.smoothed.tolist() == [4 / 11] * 3
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             stats.histogram(np.array([]))

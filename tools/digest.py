@@ -18,6 +18,11 @@ prints one ``confidences`` line per benchmark step.  A digest is the first
 16 hex digits of a sha256.  One tree takes about 80 s on a 2-core host:
 13 s for the batch grid, 11 s for the CLI and 56 s for the rounds.
 
+``DIGEST.txt``, at the checkout's root, holds that output for the
+committed tree; CI regenerates it and diffs the two
+(``python3 tools/digest.py . | diff DIGEST.txt -``).  A change that
+moves a line updates the file in the same diff.
+
 Batch grid
 ----------
 A line hashes every ``Session.collect_*`` output of one seeded run (all
